@@ -260,13 +260,20 @@ def _spectral_data_attempt(pair: PeakonPair, prec: int,
 
 def spectral_data(pair: PeakonPair, prec: int = DEFAULT_PREC,
                   cross_tol: float = CROSS_CHECK_TOL) -> SpectralData:
-    """Full direct transform of a pair; empty data for the zero pair."""
+    """Full direct transform of a pair; empty data for the zero pair.
+
+    Tries ``prec``, then twice and four times that precision when a root
+    count, a Weyl weight or the coupling cross-check slips.
+    """
     if pair.n == 0 or not (np.any(pair.weights) or np.any(pair.atoms)):
         return SpectralData.empty()
     try:
         return _spectral_data_attempt(pair, prec, cross_tol)
     except (RootCountMismatch, WeightNonpositive):
-        return _spectral_data_attempt(pair, 2 * prec, cross_tol)
+        try:
+            return _spectral_data_attempt(pair, 2 * prec, cross_tol)
+        except (RootCountMismatch, WeightNonpositive):
+            return _spectral_data_attempt(pair, 4 * prec, cross_tol)
 
 
 def spectral_from_coords(sigma, kappa, prec: int = DEFAULT_PREC) -> SpectralData:

@@ -133,7 +133,7 @@ def _assemble(poles, weights, prec):
     return num, den
 
 
-def _respectralize(num, den, prec, scale=0.0, lenient=False):
+def _respectralize(num, den, prec, scale=0.0):
     """Pole-residue data of num/den: (poles, residues, linear-growth slope).
 
     Re-canonicalizing at every stripping step is the common-factor
@@ -152,23 +152,20 @@ def _respectralize(num, den, prec, scale=0.0, lenient=False):
         tail = sum((w * zstar / (lam * (lam - zstar))
                     for lam, w in zip(poles, weights)), mp.mpc(0))
         b = ((num(zstar) / den(zstar) - tail) / zstar).real
+        # after an interval that ends in a point mass, the float64 rounding
+        # of the input leaves a small top denominator coefficient whose root
+        # lies far beyond the data scale, at every precision; such a pole
+        # acts like the linear term, w z/(lam(lam-z)) ~ (w/lam^2) z, so it
+        # is folded into the slope
         cut = FAR_POLE_FACTOR * max(1.0, scale)
-        if poles and max(abs(p) for p in poles) > cut:
-            if not lenient:
-                # usually a noise-level denominator coefficient that survived
-                # a cancellation; retrying at higher precision removes it
-                raise DegreeStall("far pole after a stripping step")
-            # last resort: a pole far beyond the data scale acts like the
-            # linear term, w z/(lam(lam-z)) ~ (w/lam^2) z; fold it in and let
-            # the mandatory round-trip check judge the result
-            for lam, w in zip(poles, weights):
-                if abs(lam) > cut:
-                    b += w / lam ** 2
-            kept = [(lam, w) for lam, w in zip(poles, weights)
-                    if abs(lam) <= cut]
-            poles = [lam for lam, _ in kept]
-            weights = [w for _, w in kept]
-    return poles, weights, b
+        near_poles, near_weights = [], []
+        for lam, w in zip(poles, weights):
+            if abs(lam) > cut:
+                b += w / lam ** 2
+            else:
+                near_poles.append(lam)
+                near_weights.append(w)
+    return near_poles, near_weights, b
 
 
 def _strip_once(m: RationalHerglotz, prec: int,
@@ -181,8 +178,7 @@ def _strip_once(m: RationalHerglotz, prec: int,
         for _ in range(max_steps):
             if num.is_zero:
                 break
-            poles, weights, b = _respectralize(num, den, prec, pole_scale,
-                                               lenient)
+            poles, weights, b = _respectralize(num, den, prec, pole_scale)
             if b < -MASS_ZERO_TOL:
                 raise NegativeMass(f"stripped mass {float(b)} is negative")
             if b > MASS_ZERO_TOL:
@@ -210,18 +206,32 @@ def _strip_once(m: RationalHerglotz, prec: int,
             lengths.append(float(length))
             values.append(float(a))
             masses.append(0.0)
-            resid = (num - den.scale(a)).drop_leading(den.degree)
-            # leading coefficients cancel exactly by the choice of length
-            num = (num + resid.shift_mul_z().scale(a * length)).drop_leading(
-                den.degree)
-            den = (den + resid.shift_mul_z().scale(length)).drop_leading(
-                den.degree)
+            num, den = _strip_interval(num, den, a, length, prec)
         else:
             raise DegreeStall("stripping did not terminate")
     if lenient:
         lengths, values, masses = _collapse_spikes(lengths, values, masses)
     return StringData("minus", np.array(lengths), np.array(values),
                       np.array(masses))
+
+
+def _strip_interval(num, den, a, length, prec):
+    """Moebius update of num/den by one interval of value a and given length.
+
+    The z^d coefficients (d the degree of den) cancel exactly by the choice
+    of length and are dropped; below them only exact zeros are trimmed.  A
+    precision-relative trim would remove the small top coefficient that a
+    point mass leaves in the denominator and skew the next residues.
+    """
+    d = den.degree
+    with mp.workprec(prec):
+        resid = [0] + [num[k] - a * den[k] for k in range(d - 1)]
+        new_num = [num[k] + a * length * resid[k] for k in range(d)]
+        new_den = [den[k] + length * resid[k] for k in range(d)]
+    for cs in (new_num, new_den):
+        while len(cs) > 1 and cs[-1] == 0:
+            cs.pop()
+    return Poly(new_num, prec, trim=False), Poly(new_den, prec, trim=False)
 
 
 def _collapse_spikes(lengths, values, masses):
@@ -250,8 +260,11 @@ def layer_strip(m: RationalHerglotz, prec: int = DEFAULT_PREC) -> StringData:
     point mass off its linear growth at infinity, then strips one
     constant-coefficient interval using the leading-segment identities
     (value = -sum w/lam, length = 1/sum w); the pole count drops by one per
-    interval, so termination is structural.  Retries once at doubled
-    precision if noise stalls a step.
+    interval, so termination is structural.  A point mass shows up as a
+    pole far beyond the data scale and is read as linear growth.  If noise
+    stalls a step, retries at twice the precision, then runs a lenient pass
+    at four times the precision that folds sub-resolution intervals into
+    point masses.
     """
     if m.n == 0:
         return StringData.empty("minus")

@@ -154,3 +154,19 @@ def test_spectrum_real_simple_for_mixed_data():
         assert np.all(np.isfinite(sig))
         assert np.all(np.diff(sig) > 0)
         assert not np.any(sig == 0)
+
+
+def test_spectral_data_escalates_past_twice_the_precision():
+    # drawn like the acceptance suite with 16 peaks; the Weyl weight at the
+    # eigenvalue near -114 comes out non-positive at 128 and at 256 bits
+    rng = np.random.default_rng(116)
+    sites = np.cumsum(rng.uniform(0.2, 1.0, 16))
+    sites += rng.uniform(-4.0, 0.0) - sites[0]
+    weights = rng.uniform(-2.0, 2.0, 16)
+    atoms = np.where(rng.random(16) < 0.5, rng.uniform(0.0, 2.0, 16), 0.0)
+    pair = PeakonPair(sites, weights, atoms)
+    data = spectral_data(pair)
+    assert data.n == 24
+    assert np.all(data.norming_left * data.eigenvalues > 0)
+    r1, _ = trace_formulas(pair)
+    assert r1 <= 1e-9

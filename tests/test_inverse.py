@@ -7,10 +7,11 @@ import pytest
 
 from chflow.direct import spectral_data
 from chflow.errors import DuplicateEigenvalue, NonpositiveProduct
-from chflow.inverse import (IsospectralCoordinates, admissibility_check,
-                            herglotz_from_coords, inverse_from_norming,
-                            inverse_transform, layer_strip,
-                            reconstruct_plus_side, wdot_from_sigma)
+from chflow.inverse import (IsospectralCoordinates, _strip_once,
+                            admissibility_check, herglotz_from_coords,
+                            inverse_from_norming, inverse_transform,
+                            layer_strip, reconstruct_plus_side,
+                            wdot_from_sigma)
 from chflow.pairs import PeakonPair, from_string
 
 
@@ -74,6 +75,40 @@ def test_layer_strip_reproduces_string():
     assert np.allclose(back.sites, pair.sites, atol=1e-10)
     assert np.allclose(back.weights, pair.weights, atol=1e-10)
     assert np.allclose(back.atoms, pair.atoms, atol=1e-10)
+
+
+def _strip_128_error(pair):
+    """Largest coordinate error of one 128-bit stripping pass over the pair's data."""
+    data = spectral_data(pair)
+    m = herglotz_from_coords(
+        IsospectralCoordinates(data.eigenvalues, data.kappa), "minus")
+    back = from_string(_strip_once(m, 128))
+    assert back.n == pair.n
+    return max(np.max(np.abs(back.sites - pair.sites)),
+               np.max(np.abs(back.weights - pair.weights)),
+               np.max(np.abs(back.atoms - pair.atoms)))
+
+
+def test_atom_carrying_pair_strips_in_one_pass():
+    # the mass leaves a far pole from float64 rounding of the input at every
+    # precision; the first pass reads it as linear growth
+    pair = PeakonPair([-0.5, 0.5], [1.0, -0.5], [0.0, 0.3])
+    assert _strip_128_error(pair) <= 1e-12
+
+
+def test_one_pass_keeps_small_mass_coefficients():
+    # nine peaks, four atoms: trimming the small top denominator coefficient
+    # a mass leaves behind costs about 1e-7 here
+    pair = PeakonPair(
+        [-0.65642715898312076, 0.3226749837869729, 1.1780911553258866,
+         2.0185023519936984, 2.3203695244750415, 2.7341775724447093,
+         3.0193962266482228, 3.8472846779320746, 4.3179671953869789],
+        [0.95335765063346378, 0.232632118742752, -1.2459960071829297,
+         0.96796576274082624, -0.50221067742603798, 1.4206904677832148,
+         -0.51365615167091039, 1.1165772845123225, -0.73032908436868493],
+        [0.0, 1.0239138638674836, 0.0, 0.0, 0.29613392322885845,
+         0.63652436444339755, 0.0, 1.3045436470656979, 0.0])
+    assert _strip_128_error(pair) <= 1e-10
 
 
 def test_round_trip_small_suite():
