@@ -19,7 +19,7 @@ print("eigenvalues:", data.eigenvalues)
 print("couplings:  ", data.kappa)
 
 # sanity: the spectral sums reproduce the momentum and the total measure
-r1, r2 = trace_formulas(pair)
+r1, r2 = trace_formulas(pair, data)
 print(f"trace residuals: {r1:.2e} {r2:.2e}")
 
 # the round trip reproduces the input to machine precision

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .direct import (classify_definiteness, herglotz_probe, parseval_check,
-                     spectral_data, trace_formulas, weyl_function)
+                     spectral_data, trace_formulas)
 from .errors import ChflowError, DuplicateEigenvalue, PairFormatError
-from .flow import Trajectory, atoms_sidecar, conserved_report, make_trajectory, snapshots_csv
+from .flow import atoms_sidecar, conserved_report, make_trajectory, snapshots_csv
 from .inverse import (IsospectralCoordinates, _round_trip_residual,
-                      inverse_from_norming, inverse_transform)
+                      herglotz_from_coords, inverse_transform)
 from .pairs import PeakonPair, pair_from_json, pair_to_json
 
 EXIT_OK = 0
@@ -97,9 +97,9 @@ def cmd_direct(args) -> int:
     cfg = _config(args)
     pair = pair_from_json(_load_json(args.pair_file))
     data = spectral_data(pair, cfg.precision_bits)
-    t1, t2 = trace_formulas(pair)
-    pm = parseval_check(pair, "minus")
-    pp = parseval_check(pair, "plus")
+    t1, t2 = trace_formulas(pair, data)
+    pm = parseval_check(pair, data, "minus")
+    pp = parseval_check(pair, data, "plus")
     print(f"trace residuals: {t1:.3e} {t2:.3e}", file=sys.stderr)
     print(f"parseval residuals: minus {pm:.3e} plus {pp:.3e}", file=sys.stderr)
     _emit(_format_value(data.to_json()), args.output)
@@ -115,16 +115,13 @@ def cmd_inverse(args) -> int:
     if "kappa" in spec:
         coords = IsospectralCoordinates(sigma, np.asarray(spec["kappa"],
                                                           dtype=float))
-        pair = inverse_transform(coords, cfg.precision_bits)
     elif "norming" in spec:
-        side = spec.get("side", "left")
-        pair = inverse_from_norming(sigma, np.asarray(spec["norming"],
-                                                      dtype=float),
-                                    side, cfg.precision_bits)
-        data = spectral_data(pair, cfg.precision_bits)
-        coords = IsospectralCoordinates(data.eigenvalues, data.kappa)
+        coords = IsospectralCoordinates.from_norming(
+            sigma, np.asarray(spec["norming"], dtype=float),
+            spec.get("side", "left"))
     else:
         raise PairFormatError("spectral JSON needs 'kappa' or 'norming'")
+    pair = inverse_transform(coords, cfg.precision_bits)
     residual = _round_trip_residual(pair, coords) if pair.n else 0.0
     print(f"round-trip residual: {residual:.3e}", file=sys.stderr)
     _emit(_format_value(pair_to_json(pair)), args.output)
@@ -152,36 +149,31 @@ def cmd_evolve(args) -> int:
 def cmd_check(args) -> int:
     cfg = _config(args)
     pair = pair_from_json(_load_json(args.pair_file))
-    t1, t2 = trace_formulas(pair)
+    data = spectral_data(pair, cfg.precision_bits)
+    coords = IsospectralCoordinates(data.eigenvalues, data.kappa)
+    t1, t2 = trace_formulas(pair, data)
     report = {
         "trace_residuals": [t1, t2],
-        "parseval_residuals": {"minus": parseval_check(pair, "minus"),
-                               "plus": parseval_check(pair, "plus")},
+        "parseval_residuals": {"minus": parseval_check(pair, data, "minus"),
+                               "plus": parseval_check(pair, data, "plus")},
     }
     samples = [complex(x, y) for x in np.linspace(-20.0, 20.0, 10)
                for y in (0.1, 1.0, 10.0)]
     neg = 0.0
     for side in ("minus", "plus"):
-        m = weyl_function(pair, side, cfg.precision_bits)
+        m = herglotz_from_coords(coords, side)
         neg = max(neg, max(0.0, -herglotz_probe(m, samples)))
     report["herglotz_negativity"] = neg
-    data = spectral_data(pair, cfg.precision_bits)
+    rt = 0.0
     if data.n:
-        back = inverse_transform(
-            IsospectralCoordinates(data.eigenvalues, data.kappa),
-            cfg.precision_bits)
-        rt = max(
-            float(np.max(np.abs(back.sites - pair.sites))) if back.n == pair.n
-            else float("inf"),
-            float(np.max(np.abs(back.weights - pair.weights))) if back.n == pair.n
-            else float("inf"),
-            float(np.max(np.abs(back.atoms - pair.atoms))) if back.n == pair.n
-            else float("inf"),
-        )
-    else:
-        rt = 0.0
+        back = inverse_transform(coords, cfg.precision_bits)
+        rt = float("inf")
+        if back.n == pair.n:
+            rt = float(max(np.max(np.abs(back.sites - pair.sites)),
+                           np.max(np.abs(back.weights - pair.weights)),
+                           np.max(np.abs(back.atoms - pair.atoms))))
     report["round_trip_residual"] = rt
-    definite = classify_definiteness(pair)
+    definite = classify_definiteness(pair, data)
     report["definiteness"] = {
         "label": definite.label,
         "spectrum_sign_consistent": definite.spectrum_sign_consistent,

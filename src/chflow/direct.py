@@ -5,6 +5,11 @@ cumulative transfer product; its roots are the (real, simple, nonzero)
 eigenvalues.  Logarithmic coupling constants come from the Weyl-function
 weights and are cross-validated against direct eigenfunction matching, so a
 sign-convention bug in either path cannot pass silently.
+
+``spectral_data`` is the one transform: the Weyl functions are read off its
+result, and the identities (trace formulas, weighted energy, definiteness)
+take a pair together with its ``SpectralData`` instead of transforming the
+pair again.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .errors import (DuplicateEigenvalue, NotAnEigenvalue, PoleHit,
 from .pairs import (PeakonPair, _minus_events, mu_interval, reflect,
                     to_string)
 from .poly import DEFAULT_PREC, Poly
-from .stringsys import cumulative_transfer, decaying_solution_left
+from .stringsys import cumulative_transfer
 
 CROSS_CHECK_TOL = 1e-8
 
@@ -112,15 +117,22 @@ class RationalHerglotz:
 
     def as_poly_pair(self, prec: int = DEFAULT_PREC):
         """Cancelled numerator/denominator pair with denominator prod(1 - z/pole)."""
-        den = Poly.from_roots(self.poles, prec)
-        num = Poly.constant(0, prec)
         with mp.workprec(prec):
-            for k in range(self.n):
-                others = np.delete(self.poles, k)
-                lam = mpf(float(self.poles[k]))
-                term = Poly.from_roots(others, prec).shift_mul_z()
-                num = num + term.scale(mpf(float(self.weights[k])) / lam ** 2)
-        return num, den
+            return _cancelled_pair([mpf(float(p)) for p in self.poles],
+                                   [mpf(float(w)) for w in self.weights], prec)
+
+
+def _cancelled_pair(poles, weights, prec):
+    """Numerator/denominator of sum w z/(lam (lam - z)) over denominator
+    prod(1 - z/lam); poles and weights are working-precision numbers."""
+    den = Poly.from_roots(poles, prec)
+    num = Poly.constant(0, prec)
+    with mp.workprec(prec):
+        for k, (lam, w) in enumerate(zip(poles, weights)):
+            others = poles[:k] + poles[k + 1:]
+            num = num + Poly.from_roots(others, prec).shift_mul_z().scale(
+                w / lam ** 2)
+    return num, den
 
 
 # ----------------------------------------------------------------------------
@@ -164,47 +176,22 @@ def _poly_real_roots(w: Poly):
     return roots
 
 
+def _wronskian_roots(pair: PeakonPair, prec: int):
+    """Polished characteristic roots; escalates precision once if the root
+    count slips."""
+    try:
+        return _poly_real_roots(wronskian_poly(pair, prec))
+    except RootCountMismatch:
+        return _poly_real_roots(wronskian_poly(pair, 2 * prec))
+
+
 def spectrum(pair: PeakonPair, prec: int = DEFAULT_PREC) -> np.ndarray:
     """Sorted eigenvalues; escalates precision once if the root count slips."""
-    try:
-        roots = _poly_real_roots(wronskian_poly(pair, prec))
-    except RootCountMismatch:
-        roots = _poly_real_roots(wronskian_poly(pair, 2 * prec))
-    return np.array([float(r) for r in roots])
+    return np.array([float(r) for r in _wronskian_roots(pair, prec)])
 
 
 # ----------------------------------------------------------------------------
 # spectral data
-
-def _weyl_weights_minus(pair: PeakonPair, prec: int):
-    """Minus-side Weyl data: (roots, dW values, weights) as mpmath numbers."""
-    q = cumulative_transfer(to_string(pair, "minus"), prec)
-    w = q.a22
-    roots = _poly_real_roots(w)
-    dw = w.deriv()
-    with mp.workprec(prec):
-        dws = [dw(r) for r in roots]
-        weights = [-q.a21(r) / d for r, d in zip(roots, dws)]
-    return roots, dws, weights, w
-
-
-def weyl_function(pair: PeakonPair, side: str = "minus",
-                  prec: int = DEFAULT_PREC) -> RationalHerglotz:
-    """Boundary Herglotz function; poles at the spectrum, weights 1/(lam * norming)."""
-    if side == "plus":
-        return weyl_function(reflect(pair), "minus", prec)
-    if pair.n == 0:
-        return RationalHerglotz.zero()
-    roots, _, weights, _ = _weyl_weights_minus(pair, prec)
-    if any(w <= 0 for w in weights):
-        # the weights are positive in exact arithmetic; retry once before
-        # reporting a genuinely bad configuration
-        roots, _, weights, _ = _weyl_weights_minus(pair, 2 * prec)
-        if any(w <= 0 for w in weights):
-            raise WeightNonpositive("non-positive Weyl weight")
-    return RationalHerglotz(np.array([float(r) for r in roots]),
-                            np.array([float(w) for w in weights]))
-
 
 def _matched_coupling(pair: PeakonPair, lam, prec: int) -> float:
     """Coupling constant by eigenfunction matching: continue the solution
@@ -231,12 +218,17 @@ def _matched_coupling(pair: PeakonPair, lam, prec: int) -> float:
         return float((g1 + z * xi_n * g2) / z)
 
 
-def _spectral_data_attempt(pair: PeakonPair, prec: int,
-                           cross_tol: float) -> SpectralData:
-    roots, dws, weights, w = _weyl_weights_minus(pair, prec)
+def _spectral_data_attempt(pair: PeakonPair, prec: int) -> SpectralData:
+    q = cumulative_transfer(to_string(pair, "minus"), prec)
+    w = q.a22
+    roots = _poly_real_roots(w)
+    dw = w.deriv()
     eigenvalues, kappa, coupling, gplus, gminus = [], [], [], [], []
     with mp.workprec(prec):
-        for lam, dw_val, weight in zip(roots, dws, weights):
+        for lam in roots:
+            # minus-side Weyl weight
+            dw_val = dw(lam)
+            weight = -q.a21(lam) / dw_val
             if weight <= 0:
                 raise WeightNonpositive(
                     f"Weyl weight non-positive at eigenvalue {float(lam)}")
@@ -250,7 +242,7 @@ def _spectral_data_attempt(pair: PeakonPair, prec: int,
     # independent path: eigenfunction matching through the transfer factors
     for lam, c in zip(roots, coupling):
         c_match = _matched_coupling(pair, lam, prec)
-        if abs(c_match - c) > cross_tol * max(abs(c), abs(c_match)):
+        if abs(c_match - c) > CROSS_CHECK_TOL * max(abs(c), abs(c_match)):
             raise RootCountMismatch(
                 f"coupling cross-check failed at {lam}: {c} vs {c_match}")
     return SpectralData(np.array(eigenvalues), np.array(kappa),
@@ -258,8 +250,7 @@ def _spectral_data_attempt(pair: PeakonPair, prec: int,
                         tuple(w.to_floats()))
 
 
-def spectral_data(pair: PeakonPair, prec: int = DEFAULT_PREC,
-                  cross_tol: float = CROSS_CHECK_TOL) -> SpectralData:
+def spectral_data(pair: PeakonPair, prec: int = DEFAULT_PREC) -> SpectralData:
     """Full direct transform of a pair; empty data for the zero pair.
 
     Tries ``prec``, then twice and four times that precision when a root
@@ -268,12 +259,23 @@ def spectral_data(pair: PeakonPair, prec: int = DEFAULT_PREC,
     if pair.n == 0 or not (np.any(pair.weights) or np.any(pair.atoms)):
         return SpectralData.empty()
     try:
-        return _spectral_data_attempt(pair, prec, cross_tol)
+        return _spectral_data_attempt(pair, prec)
     except (RootCountMismatch, WeightNonpositive):
         try:
-            return _spectral_data_attempt(pair, 2 * prec, cross_tol)
+            return _spectral_data_attempt(pair, 2 * prec)
         except (RootCountMismatch, WeightNonpositive):
-            return _spectral_data_attempt(pair, 4 * prec, cross_tol)
+            return _spectral_data_attempt(pair, 4 * prec)
+
+
+def weyl_function(pair: PeakonPair, side: str = "minus",
+                  prec: int = DEFAULT_PREC) -> RationalHerglotz:
+    """Boundary Herglotz function; poles at the spectrum, weights 1/(lam * norming).
+
+    Read off ``spectral_data``, so it raises wherever that transform does.
+    """
+    data = spectral_data(pair, prec)
+    norming = data.norming_right if side == "plus" else data.norming_left
+    return RationalHerglotz(data.eigenvalues, 1.0 / (data.eigenvalues * norming))
 
 
 def spectral_from_coords(sigma, kappa, prec: int = DEFAULT_PREC) -> SpectralData:
@@ -319,10 +321,7 @@ def norming_by_quadrature(pair: PeakonPair, lam: float, side: str = "minus",
     """
     if side == "plus":
         return norming_by_quadrature(reflect(pair), lam, "minus", tol)
-    try:
-        roots = _poly_real_roots(wronskian_poly(pair))
-    except RootCountMismatch:
-        roots = _poly_real_roots(wronskian_poly(pair, 2 * DEFAULT_PREC))
+    roots = _wronskian_roots(pair, DEFAULT_PREC)
     dists = [abs(float(r) - lam) for r in roots]
     if not roots or min(dists) > tol * max(1.0, abs(lam)):
         raise NotAnEigenvalue(f"{lam} is not in the spectrum")
@@ -365,9 +364,9 @@ def _decaying_site_values(pair: PeakonPair, lam, prec: int):
     return idx, vals
 
 
-def trace_formulas(pair: PeakonPair) -> tuple:
+def trace_formulas(pair: PeakonPair, data: SpectralData) -> tuple:
     """Residuals of the first two trace formulas (eigenvalue sums vs integrals)."""
-    sig = spectrum(pair)
+    sig = data.eigenvalues
     s1 = float(np.sum(1.0 / sig)) if sig.size else 0.0
     s2 = float(np.sum(1.0 / sig ** 2)) if sig.size else 0.0
     r1 = abs(s1 - 2.0 * float(pair.weights.sum()) if pair.n else abs(s1))
@@ -375,11 +374,11 @@ def trace_formulas(pair: PeakonPair) -> tuple:
     return float(r1), float(r2)
 
 
-def parseval_check(pair: PeakonPair, side: str = "minus") -> float:
+def parseval_check(pair: PeakonPair, data: SpectralData,
+                   side: str = "minus") -> float:
     """Residual of the weighted-energy identity against the spectral sum."""
     s = to_string(pair, side)
     left = float(np.sum(s.values ** 2 * s.lengths) + np.sum(s.masses))
-    data = spectral_data(pair)
     norming = data.norming_left if side == "minus" else data.norming_right
     if data.n:
         right = float(np.sum(1.0 / (data.eigenvalues ** 3 * norming)))
@@ -396,14 +395,15 @@ class DefinitenessReport:
     spectrum: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def classify_definiteness(pair: PeakonPair) -> DefinitenessReport:
+def classify_definiteness(pair: PeakonPair,
+                          data: SpectralData) -> DefinitenessReport:
     """Sign classification of the momentum distribution and its spectral check.
 
     Definite (all atoms zero, weights one-signed) pairs must have one-signed
     spectrum and satisfy the sign-definite trace identity; any singular atom
     makes the pair indefinite.
     """
-    sig = spectrum(pair)
+    sig = data.eigenvalues
     if np.any(pair.atoms > 0):
         return DefinitenessReport("indefinite", float("nan"), True, sig)
     if pair.n == 0 or np.all(pair.weights >= 0):

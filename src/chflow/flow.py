@@ -102,18 +102,18 @@ class Trajectory:
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
 
 
-def make_trajectory(pair: PeakonPair, times, prec: int = DEFAULT_PREC,
-                    validate: bool = True) -> Trajectory:
+def make_trajectory(pair: PeakonPair, times,
+                    prec: int = DEFAULT_PREC) -> Trajectory:
     """Sample the integral curve through the pair at the given times.
 
-    With ``validate`` every snapshot's spectrum is checked against the base
-    spectrum (the evolution is isospectral by construction; the check guards
-    the reconstruction).
+    Every snapshot's spectrum is checked against the base spectrum (the
+    evolution is isospectral by construction; the check guards the
+    reconstruction).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     data = spectral_data(pair, prec)
     snaps = tuple(snapshot(data, t, prec) for t in times)
-    if validate and data.n:
+    if data.n:
         for t, snap in zip(times, snaps):
             sig = spectrum(snap, prec)
             if sig.size != data.n or np.any(

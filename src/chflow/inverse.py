@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .direct import RationalHerglotz, _poly_real_roots, spectral_data
+from .direct import (RationalHerglotz, _cancelled_pair, _poly_real_roots,
+                     spectral_data)
 from .errors import (DegreeStall, DuplicateEigenvalue, NegativeLength,
                      NegativeMass, NonpositiveProduct, RootCountMismatch,
                      RoundTripFailure)
@@ -60,6 +61,33 @@ class IsospectralCoordinates:
     @classmethod
     def empty(cls):
         return cls(np.empty(0), np.empty(0))
+
+    @classmethod
+    def from_norming(cls, sigma, norming, side: str = "left"):
+        """Coordinates of eigenvalues with one-sided norming constants.
+
+        ``side`` names the given norming family: "left"/"minus" or
+        "right"/"plus".  Right-side input is converted through the identity
+        (left norming) * (right norming) = (wronskian derivative)^2.
+        """
+        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+        norming = np.atleast_1d(np.asarray(norming, dtype=float))
+        if sigma.size == 0:
+            return cls.empty()
+        if sigma.size != norming.size:
+            raise ValueError("sigma and norming must be co-indexed")
+        if np.any(sigma * norming <= 0):
+            raise NonpositiveProduct(
+                "each eigenvalue/norming product must be positive")
+        wd = wdot_from_sigma(sigma)
+        if side in ("right", "plus"):
+            gminus = wd ** 2 / norming
+        elif side in ("left", "minus"):
+            gminus = norming
+        else:
+            raise ValueError(f"unknown norming side {side!r}")
+        weights = 1.0 / (sigma * gminus)
+        return cls(sigma, -np.log(weights * np.abs(sigma * wd)))
 
 
 def wdot_from_sigma(sigma) -> np.ndarray:
@@ -121,18 +149,6 @@ def herglotz_from_coords(coords: IsospectralCoordinates,
 # ----------------------------------------------------------------------------
 # layer stripping
 
-def _assemble(poles, weights, prec):
-    """Cancelled numerator/denominator pair of sum w z/(lam (lam - z))."""
-    den = Poly.from_roots(poles, prec)
-    num = Poly.constant(0, prec)
-    with mp.workprec(prec):
-        for k, (lam, w) in enumerate(zip(poles, weights)):
-            others = poles[:k] + poles[k + 1:]
-            num = num + Poly.from_roots(others, prec).shift_mul_z().scale(
-                w / lam ** 2)
-    return num, den
-
-
 def _respectralize(num, den, prec, scale=0.0):
     """Pole-residue data of num/den: (poles, residues, linear-growth slope).
 
@@ -190,7 +206,7 @@ def _strip_once(m: RationalHerglotz, prec: int,
                 break
             if any(w <= 0 for w in weights):
                 raise DegreeStall("stripped function lost Herglotz positivity")
-            num, den = _assemble(poles, weights, prec)
+            num, den = _cancelled_pair(poles, weights, prec)
             # first-segment identities of the remaining Weyl function
             wsum = sum(weights)
             a = -sum(w / lam for lam, w in zip(poles, weights))
@@ -294,8 +310,7 @@ def _round_trip_residual(pair: PeakonPair,
 
 
 def inverse_transform(coords: IsospectralCoordinates,
-                      prec: int = DEFAULT_PREC,
-                      tol: float = ROUND_TRIP_TOL) -> PeakonPair:
+                      prec: int = DEFAULT_PREC) -> PeakonPair:
     """Unique pair with the given spectrum and logarithmic couplings.
 
     The reconstruction is certified: the direct transform of the result must
@@ -306,43 +321,21 @@ def inverse_transform(coords: IsospectralCoordinates,
         return PeakonPair.zero()
     pair = from_string(layer_strip(herglotz_from_coords(coords, "minus"), prec))
     residual = _round_trip_residual(pair, coords)
-    if residual > tol:
+    if residual > ROUND_TRIP_TOL:
         pair = from_string(
             layer_strip(herglotz_from_coords(coords, "minus"), 2 * prec))
         residual = _round_trip_residual(pair, coords)
-        if residual > tol:
+        if residual > ROUND_TRIP_TOL:
             raise RoundTripFailure(
-                f"self-check residual {residual} exceeds {tol}")
+                f"self-check residual {residual} exceeds {ROUND_TRIP_TOL}")
     return pair
 
 
 def inverse_from_norming(sigma, norming, side: str = "left",
                          prec: int = DEFAULT_PREC) -> PeakonPair:
-    """Reconstruct a pair from eigenvalues and one-sided norming constants.
-
-    ``side`` names the given norming family: "left"/"minus" or
-    "right"/"plus".  Right-side input is converted through the identity
-    (left norming) * (right norming) = (wronskian derivative)^2.
-    """
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    norming = np.atleast_1d(np.asarray(norming, dtype=float))
-    if sigma.size == 0:
-        return PeakonPair.zero()
-    if sigma.size != norming.size:
-        raise ValueError("sigma and norming must be co-indexed")
-    if np.any(sigma * norming <= 0):
-        raise NonpositiveProduct(
-            "each eigenvalue/norming product must be positive")
-    wd = wdot_from_sigma(sigma)
-    if side in ("right", "plus"):
-        gminus = wd ** 2 / norming
-    elif side in ("left", "minus"):
-        gminus = norming
-    else:
-        raise ValueError(f"unknown norming side {side!r}")
-    weights = 1.0 / (sigma * gminus)
-    kappa = -np.log(weights * np.abs(sigma * wd))
-    return inverse_transform(IsospectralCoordinates(sigma, kappa), prec)
+    """Reconstruct a pair from eigenvalues and one-sided norming constants."""
+    return inverse_transform(
+        IsospectralCoordinates.from_norming(sigma, norming, side), prec)
 
 
 def reconstruct_plus_side(coords: IsospectralCoordinates,

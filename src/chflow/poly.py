@@ -116,14 +116,6 @@ class Poly:
             cs = [k * c for k, c in enumerate(self.coeffs)][1:] or [mpf(0)]
         return Poly(cs, self.prec)
 
-    def drop_leading(self, k):
-        """Force the coefficient of z^k (and above) to zero.
-
-        Used by layer stripping, where the top coefficient cancels exactly by
-        construction and only numerical noise remains.
-        """
-        return Poly(self.coeffs[:k], self.prec)
-
     def to_floats(self):
         return [float(c) for c in self.coeffs]
 

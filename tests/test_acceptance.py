@@ -150,15 +150,15 @@ def test_criterion_3_round_trips(suite, coordinate_suite):
 
 
 def test_criterion_4_trace_formulas(suite):
-    pairs = suite[0]
-    worst = max(max(trace_formulas(p)) for p in pairs)
+    pairs, datas = suite[0], suite[1]
+    worst = max(max(trace_formulas(p, d)) for p, d in zip(pairs, datas))
     _report(4, worst < 1e-10, f"trace-formula worst residual {worst:.3e}")
 
 
 def test_criterion_5_parseval(suite):
-    pairs = suite[0]
-    worst = max(max(parseval_check(p, "minus"), parseval_check(p, "plus"))
-                for p in pairs)
+    pairs, datas = suite[0], suite[1]
+    worst = max(max(parseval_check(p, d, "minus"), parseval_check(p, d, "plus"))
+                for p, d in zip(pairs, datas))
     _report(5, worst < 1e-8, f"weighted-energy identity worst residual {worst:.3e}")
 
 
@@ -287,14 +287,16 @@ def test_criterion_10_definiteness():
         sites += rng.uniform(-3.0, 0.0) - sites[0]
         weights = rng.uniform(0.1, 2.0, n)
         pair = PeakonPair(sites, weights, np.zeros(n))
-        rep = classify_definiteness(pair)
+        rep = classify_definiteness(pair, spectral_data(pair))
         sign_ok = sign_ok and rep.label == "positive" \
             and rep.spectrum_sign_consistent and np.all(rep.spectrum > 0)
         worst = max(worst, rep.residual)
         # inject a singular atom: indefiniteness must be detected
         atoms = np.zeros(n)
         atoms[rng.integers(0, n)] = rng.uniform(0.1, 1.0)
-        injected = classify_definiteness(PeakonPair(sites, weights, atoms))
+        injected_pair = PeakonPair(sites, weights, atoms)
+        injected = classify_definiteness(injected_pair,
+                                         spectral_data(injected_pair))
         flip_ok = flip_ok and (injected.label == "indefinite"
                                or np.any(injected.spectrum < 0))
         flip_ok = flip_ok and np.any(injected.spectrum < 0)

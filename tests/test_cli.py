@@ -4,9 +4,16 @@ import json
 
 import pytest
 
+import chflow.cli
+import chflow.direct
 from chflow.cli import main
+from chflow.pairs import PeakonPair
 
 PEAKON = {"peaks": [{"x": 0.0, "p": 1.0, "h": 0.0}]}
+# signed weights and an atom: an indefinite pair
+SIGNED_ATOM = {"peaks": [{"x": -1.0, "p": 0.8, "h": 0.0},
+                         {"x": 0.2, "p": -0.5, "h": 0.3},
+                         {"x": 1.1, "p": 0.6, "h": 0.0}]}
 
 
 def _write(tmp_path, name, obj):
@@ -54,6 +61,29 @@ def test_inverse_kappa_and_norming(tmp_path):
     assert main(["inverse", norm, "-o", str(out)]) == 0
     peak = json.loads(out.read_text())["peaks"][0]
     assert peak["p"] == pytest.approx(1.0)
+
+
+def test_inverse_norming_residual_compares_with_the_input(tmp_path, capsys,
+                                                        monkeypatch):
+    pair_file = _write(tmp_path, "pair.json", SIGNED_ATOM)
+    spec_file = tmp_path / "spec.json"
+    assert main(["direct", pair_file, "-o", str(spec_file)]) == 0
+    spec = json.loads(spec_file.read_text())
+    norm = _write(tmp_path, "n.json", {"eigenvalues": spec["eigenvalues"],
+                                       "norming": spec["norming_left"],
+                                       "side": "left"})
+    exact = chflow.cli.inverse_transform
+
+    def off_by_1e6(*args, **kwargs):
+        pair = exact(*args, **kwargs)
+        return PeakonPair(pair.sites, pair.weights + 1e-6, pair.atoms)
+
+    monkeypatch.setattr(chflow.cli, "inverse_transform", off_by_1e6)
+    capsys.readouterr()
+    assert main(["inverse", norm, "-o", str(tmp_path / "out.json")]) == 0
+    err = capsys.readouterr().err
+    residual = float(err.split("round-trip residual:")[1].split()[0])
+    assert residual > 1e-9
 
 
 def test_inverse_pure_atom(tmp_path):
@@ -115,6 +145,33 @@ def test_check_passes_unit_peakon(tmp_path, capsys):
     assert report["passed"] is True
     assert report["definiteness"]["label"] == "positive"
     assert max(report["trace_residuals"]) < 1e-10
+
+
+def test_check_indefinite_pair(tmp_path, capsys):
+    pair_file = _write(tmp_path, "pair.json", SIGNED_ATOM)
+    assert main(["check", pair_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
+    assert report["definiteness"]["label"] == "indefinite"
+    assert max(report["trace_residuals"]) <= 1e-9
+    assert max(report["parseval_residuals"].values()) <= 1e-9
+
+
+@pytest.mark.parametrize("command, builds", [("direct", 1), ("check", 2)])
+def test_command_transforms_its_pair_once(tmp_path, monkeypatch, command,
+                                          builds):
+    # check builds a second transfer product to certify its round trip
+    pair_file = _write(tmp_path, "pair.json", SIGNED_ATOM)
+    exact = chflow.direct.cumulative_transfer
+    count = []
+
+    def counted(*args, **kwargs):
+        count.append(1)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(chflow.direct, "cumulative_transfer", counted)
+    assert main([command, pair_file]) == 0
+    assert len(count) == builds
 
 
 def test_check_zero_pair(tmp_path, capsys):

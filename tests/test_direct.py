@@ -83,7 +83,8 @@ def test_herglotz_probe_positive_and_guards():
 
 def test_trace_formulas_exact_on_random_pair():
     rng = np.random.default_rng(21)
-    r1, r2 = trace_formulas(_random_pair(rng))
+    pair = _random_pair(rng)
+    r1, r2 = trace_formulas(pair, spectral_data(pair))
     assert r1 < 1e-11
     assert r2 < 1e-11
 
@@ -91,8 +92,9 @@ def test_trace_formulas_exact_on_random_pair():
 def test_parseval_both_sides():
     rng = np.random.default_rng(22)
     pair = _random_pair(rng)
-    assert parseval_check(pair, "minus") < 1e-9
-    assert parseval_check(pair, "plus") < 1e-9
+    data = spectral_data(pair)
+    assert parseval_check(pair, data, "minus") < 1e-9
+    assert parseval_check(pair, data, "plus") < 1e-9
 
 
 def test_norming_by_quadrature_matches_spectral_data():
@@ -135,15 +137,17 @@ def test_coupling_norming_relation():
 
 
 def test_definiteness_classification():
-    pos = classify_definiteness(PeakonPair([0.0], [1.0], [0.0]))
+    def classify(pair):
+        return classify_definiteness(pair, spectral_data(pair))
+
+    pos = classify(PeakonPair([0.0], [1.0], [0.0]))
     assert pos.label == "positive"
     assert pos.residual < 1e-12
     assert pos.spectrum_sign_consistent
-    neg = classify_definiteness(PeakonPair([-1.0, 1.0], [-0.5, -0.2],
-                                           [0.0, 0.0]))
+    neg = classify(PeakonPair([-1.0, 1.0], [-0.5, -0.2], [0.0, 0.0]))
     assert neg.label == "negative"
     assert neg.spectrum_sign_consistent
-    ind = classify_definiteness(PeakonPair([0.0], [1.0], [0.5]))
+    ind = classify(PeakonPair([0.0], [1.0], [0.5]))
     assert ind.label == "indefinite"
 
 
@@ -168,5 +172,5 @@ def test_spectral_data_escalates_past_twice_the_precision():
     data = spectral_data(pair)
     assert data.n == 24
     assert np.all(data.norming_left * data.eigenvalues > 0)
-    r1, _ = trace_formulas(pair)
+    r1, _ = trace_formulas(pair, data)
     assert r1 <= 1e-9

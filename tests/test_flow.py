@@ -97,7 +97,9 @@ def test_minus_weyl_weights_evolve_exponentially():
 def test_definiteness_preserved_along_flow():
     pair = PeakonPair([-1.0, 0.5], [0.8, 0.4], [0.0, 0.0])
     for t in (-3.0, 2.0):
-        assert classify_definiteness(flow_map(pair, t)).label == "positive"
+        later = flow_map(pair, t)
+        report = classify_definiteness(later, spectral_data(later))
+        assert report.label == "positive"
 
 
 def test_trajectory_validation():

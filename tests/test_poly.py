@@ -32,11 +32,6 @@ def test_scale_shift_deriv():
     assert Poly([5]).deriv().to_floats() == [0.0]
 
 
-def test_drop_leading_forces_degree():
-    p = Poly([1.0, 2.0, 1e-40])
-    assert p.drop_leading(2).to_floats() == [1.0, 2.0]
-
-
 def test_trim_is_relative_to_scale():
     # trailing coefficients below 2^{-prec/2} of the largest are noise
     p = Poly([1.0, 1e-15], prec=128)
