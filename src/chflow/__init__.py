@@ -24,9 +24,9 @@ from .flow import (BumpTestFunction, ConservedReport, QuadratureSpec,
                    flow_map, make_trajectory, snapshot, snapshots_csv,
                    truncate_spectral, weak_residual)
 from .inverse import (AdmissibilityReport, IsospectralCoordinates,
-                      admissibility_check, herglotz_from_coords,
-                      inverse_from_norming, inverse_transform, layer_strip,
-                      reconstruct_plus_side, wdot_from_sigma)
+                      Reconstruction, admissibility_check,
+                      herglotz_from_coords, inverse_transform, layer_strip,
+                      reconstruct, reconstruct_plus_side, wdot_from_sigma)
 from .pairs import (MeasureSpec, NonEventWarning, PeakonPair, StringData,
                     eval_u, exp_coefficients, from_string, mu_interval,
                     pair_from_json, pair_to_json, project_to_peakons, reflect,

@@ -19,8 +19,8 @@ from .direct import (classify_definiteness, herglotz_probe, parseval_check,
                      spectral_data, trace_formulas)
 from .errors import ChflowError, DuplicateEigenvalue, PairFormatError
 from .flow import atoms_sidecar, conserved_report, make_trajectory, snapshots_csv
-from .inverse import (IsospectralCoordinates, _round_trip_residual,
-                      herglotz_from_coords, inverse_transform)
+from .inverse import (IsospectralCoordinates, herglotz_from_coords,
+                      inverse_transform, reconstruct)
 from .pairs import PeakonPair, pair_from_json, pair_to_json
 
 EXIT_OK = 0
@@ -121,10 +121,9 @@ def cmd_inverse(args) -> int:
             spec.get("side", "left"))
     else:
         raise PairFormatError("spectral JSON needs 'kappa' or 'norming'")
-    pair = inverse_transform(coords, cfg.precision_bits)
-    residual = _round_trip_residual(pair, coords) if pair.n else 0.0
-    print(f"round-trip residual: {residual:.3e}", file=sys.stderr)
-    _emit(_format_value(pair_to_json(pair)), args.output)
+    rec = reconstruct(coords, cfg.precision_bits)
+    print(f"round-trip residual: {rec.residual:.3e}", file=sys.stderr)
+    _emit(_format_value(pair_to_json(rec.pair)), args.output)
     return EXIT_OK
 
 

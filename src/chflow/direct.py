@@ -193,27 +193,35 @@ def spectrum(pair: PeakonPair, prec: int = DEFAULT_PREC) -> np.ndarray:
 # ----------------------------------------------------------------------------
 # spectral data
 
+def _left_decaying_vectors(lengths, values, masses, z):
+    """Scaled boundary vectors (g1, g2) of the left-decaying solution, the
+    initial one and one after each minus-side event, at the caller's working
+    precision.  Coefficient products are rounded exactly as in the transfer
+    polynomials, so the propagated vector matches their evaluation."""
+    g1, g2 = mpf(0), mpf(-1)
+    out = [(g1, g2)]
+    for l, a, b in zip(lengths, values, masses):
+        al, aal, lm = mpf(a * l), mpf(a * a * l), mpf(l)
+        g1, g2 = ((1 - z * al) * g1 - z * lm * g2,
+                  z * aal * g1 + (1 + z * al) * g2)
+        if b > 0:
+            g2 = z * mpf(b) * g1 + g2
+        out.append((g1, g2))
+    return out
+
+
 def _matched_coupling(pair: PeakonPair, lam, prec: int) -> float:
     """Coupling constant by eigenfunction matching: continue the solution
     decaying on the left across the whole support and read the coefficient
     of exp(-x/2) on the right.
 
-    Propagates the scaled boundary vector through the transfer factors in
-    working precision; double precision loses the small couplings produced
-    by widely separated peaks to cancellation.
+    Propagates in working precision; double precision loses the small
+    couplings produced by widely separated peaks to cancellation.
     """
     s = to_string(pair, "minus")
     with mp.workprec(prec):
         z = mpf(lam)
-        g1, g2 = mpf(0), mpf(-1)
-        for l, a, b in zip(s.lengths, s.values, s.masses):
-            # coefficient products rounded exactly as in the transfer
-            # polynomials, so the propagated vector matches their evaluation
-            al, aal, lm = mpf(a * l), mpf(a * a * l), mpf(l)
-            g1, g2 = ((1 - z * al) * g1 - z * lm * g2,
-                      z * aal * g1 + (1 + z * al) * g2)
-            if b > 0:
-                g2 = z * mpf(b) * g1 + g2
+        g1, g2 = _left_decaying_vectors(s.lengths, s.values, s.masses, z)[-1]
         xi_n = mpf(float(s.endpoints[-1])) if s.n else mpf(1)
         return float((g1 + z * xi_n * g2) / z)
 
@@ -278,6 +286,16 @@ def weyl_function(pair: PeakonPair, side: str = "minus",
     return RationalHerglotz(data.eigenvalues, 1.0 / (data.eigenvalues * norming))
 
 
+def _check_simple_spectrum(sigma: np.ndarray):
+    """Raise ``DuplicateEigenvalue`` unless the sorted eigenvalues are finite,
+    nonzero and distinct (adjacent gaps above 1e-12 relative)."""
+    if np.any(sigma == 0) or not np.all(np.isfinite(sigma)):
+        raise DuplicateEigenvalue("eigenvalues must be finite and nonzero")
+    if np.any(np.diff(sigma) <= 1e-12 * np.maximum(np.abs(sigma[1:]),
+                                                   np.abs(sigma[:-1]))):
+        raise DuplicateEigenvalue("eigenvalues must be distinct")
+
+
 def spectral_from_coords(sigma, kappa, prec: int = DEFAULT_PREC) -> SpectralData:
     """Spectral data determined by eigenvalues and logarithmic couplings alone."""
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
@@ -288,11 +306,7 @@ def spectral_from_coords(sigma, kappa, prec: int = DEFAULT_PREC) -> SpectralData
         raise ValueError("sigma and kappa must be co-indexed")
     order = np.argsort(sigma)
     sigma, kappa = sigma[order], kappa[order]
-    if np.any(sigma == 0):
-        raise DuplicateEigenvalue("eigenvalues must be nonzero")
-    if np.any(np.diff(sigma) <= 1e-12 * np.maximum(np.abs(sigma[1:]),
-                                                   np.abs(sigma[:-1]))):
-        raise DuplicateEigenvalue("eigenvalues must be distinct")
+    _check_simple_spectrum(sigma)
     w = Poly.from_roots(sigma, prec)
     dw = w.deriv()
     coupling = np.empty(sigma.size)
@@ -341,26 +355,17 @@ def _decaying_site_values(pair: PeakonPair, lam, prec: int):
     """Values of the left-decaying solution at the data-carrying peak sites.
 
     Returns (site indices, values), co-indexed.  Propagated in working
-    precision with the identical rounded coefficient products as the
-    transfer polynomials, so a polished characteristic root keeps the
-    solution free of the growing admixture; double precision loses the
-    small values near the far end to cancellation.
+    precision by ``_left_decaying_vectors``, so a polished characteristic
+    root keeps the solution free of the growing admixture; double precision
+    loses the small values near the far end to cancellation.  The value at
+    a site is continuous across the mass there.
     """
     idx, lengths, values, masses = _minus_events(pair)
-    vals = []
     with mp.workprec(prec):
         z = mpf(lam)
-        g1, g2 = mpf(0), mpf(-1)
-        for j in range(idx.size):
-            l, a, b = lengths[j], values[j], masses[j]
-            al, aal, lm = mpf(a * l), mpf(a * a * l), mpf(l)
-            g1, g2 = ((1 - z * al) * g1 - z * lm * g2,
-                      z * aal * g1 + (1 + z * al) * g2)
-            # solution value at the site; continuous across the mass there
-            xj = mpf(float(pair.sites[idx[j]]))
-            vals.append(g1 * mp.e ** (-xj / 2) / z)
-            if b > 0:
-                g2 = z * mpf(b) * g1 + g2
+        vecs = _left_decaying_vectors(lengths, values, masses, z)[1:]
+        vals = [g1 * mp.e ** (-mpf(float(pair.sites[j])) / 2) / z
+                for j, (g1, _) in zip(idx, vecs)]
     return idx, vals
 
 

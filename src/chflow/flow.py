@@ -16,10 +16,10 @@ from math import comb
 
 import numpy as np
 
-from .direct import (SpectralData, spectral_data, spectral_from_coords,
-                     spectrum, wronskian_poly)
+from .direct import SpectralData, spectral_data, spectral_from_coords
 from .errors import RoundTripFailure, SupportNotCovered
-from .inverse import IsospectralCoordinates, inverse_transform, wdot_from_sigma
+from .inverse import (IsospectralCoordinates, Reconstruction, reconstruct,
+                      wdot_from_sigma)
 from .pairs import PeakonPair, eval_u, exp_coefficients, mu_interval, reflect
 from .poly import DEFAULT_PREC, Poly
 
@@ -67,18 +67,16 @@ def truncate_spectral(data: SpectralData, k: float) -> SpectralData:
                         tuple(w.to_floats()))
 
 
-def snapshot(data: SpectralData, t: float, prec: int = DEFAULT_PREC) -> PeakonPair:
-    """Pair carried by the evolved spectral data at time t."""
-    if data.n == 0:
-        return PeakonPair.zero()
+def snapshot(data: SpectralData, t: float,
+             prec: int = DEFAULT_PREC) -> Reconstruction:
+    """Certified reconstruction of the evolved spectral data at time t."""
     ev = evolve_spectral(data, t)
-    return inverse_transform(IsospectralCoordinates(ev.eigenvalues, ev.kappa),
-                             prec)
+    return reconstruct(IsospectralCoordinates(ev.eigenvalues, ev.kappa), prec)
 
 
 def flow_map(pair: PeakonPair, t: float, prec: int = DEFAULT_PREC) -> PeakonPair:
     """Evolution map on pairs: direct transform, linear shift, inverse transform."""
-    return snapshot(spectral_data(pair, prec), t, prec)
+    return snapshot(spectral_data(pair, prec), t, prec).pair
 
 
 # ----------------------------------------------------------------------------
@@ -86,42 +84,45 @@ def flow_map(pair: PeakonPair, t: float, prec: int = DEFAULT_PREC) -> PeakonPair
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled integral curve: snapshots of the evolved pair at given times."""
+    """Sampled integral curve: snapshots of the evolved pair at given times,
+    each with the spectral data that certified its reconstruction."""
 
     times: np.ndarray
     snapshots: tuple
     base_spectral: SpectralData
+    spectra: tuple
 
     def __post_init__(self):
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("trajectory times must be strictly increasing")
-        if times.size != len(self.snapshots):
-            raise ValueError("times and snapshots must be co-indexed")
+        if not times.size == len(self.snapshots) == len(self.spectra):
+            raise ValueError("times, snapshots and spectra must be co-indexed")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        object.__setattr__(self, "spectra", tuple(self.spectra))
 
 
 def make_trajectory(pair: PeakonPair, times,
                     prec: int = DEFAULT_PREC) -> Trajectory:
     """Sample the integral curve through the pair at the given times.
 
-    Every snapshot's spectrum is checked against the base spectrum (the
-    evolution is isospectral by construction; the check guards the
-    reconstruction).
+    Each snapshot keeps the direct transform that certified it, and its
+    spectrum is checked against the base spectrum to ``ISOSPECTRAL_TOL``
+    (the evolution is isospectral by construction; the check guards the
+    reconstruction).  No snapshot is transformed again.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     data = spectral_data(pair, prec)
-    snaps = tuple(snapshot(data, t, prec) for t in times)
-    if data.n:
-        for t, snap in zip(times, snaps):
-            sig = spectrum(snap, prec)
-            if sig.size != data.n or np.any(
-                    np.abs(sig - data.eigenvalues)
-                    > ISOSPECTRAL_TOL * np.abs(data.eigenvalues)):
-                raise RoundTripFailure(
-                    f"snapshot at t={t} is not isospectral to the base data")
-    return Trajectory(times, snaps, data)
+    recs = [snapshot(data, t, prec) for t in times]
+    for t, rec in zip(times, recs):
+        # the certificate already matched the eigenvalue count
+        if np.any(np.abs(rec.data.eigenvalues - data.eigenvalues)
+                  > ISOSPECTRAL_TOL * np.abs(data.eigenvalues)):
+            raise RoundTripFailure(
+                f"snapshot at t={t} is not isospectral to the base data")
+    return Trajectory(times, [r.pair for r in recs], data,
+                      [r.data for r in recs])
 
 
 @dataclass(frozen=True)
@@ -150,8 +151,8 @@ def conserved_report(traj: Trajectory) -> ConservedReport:
     iu = np.array([2.0 * float(s.weights.sum()) for s in traj.snapshots])
     en = np.array([mu_interval(s, -np.inf, np.inf) for s in traj.snapshots])
     w_drift = 0.0
-    for snap in traj.snapshots:
-        wc = wronskian_poly(snap).to_floats() if snap.n else [1.0]
+    for d in traj.spectra:
+        wc = d.wronskian
         m = max(len(wc), len(w_ref))
         for k in range(m):
             a = wc[k] if k < len(wc) else 0.0
@@ -455,7 +456,7 @@ def weak_residual(traj: Trajectory, testfn: BumpTestFunction | None = None,
     def integrand(t):
         pair = cache.get(t)
         if pair is None:
-            pair = snapshot(data, t, prec)
+            pair = snapshot(data, t, prec).pair
             cache[t] = pair
         a1, b1, m0, m1, kk = _space_integrals(pair, testfn)
         tv, td = testfn.t_value(t), testfn.t_derivative(t)

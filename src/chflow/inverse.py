@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .direct import (RationalHerglotz, _cancelled_pair, _poly_real_roots,
-                     spectral_data)
-from .errors import (DegreeStall, DuplicateEigenvalue, NegativeLength,
-                     NegativeMass, NonpositiveProduct, RootCountMismatch,
-                     RoundTripFailure)
+from .direct import (RationalHerglotz, SpectralData, _cancelled_pair,
+                     _check_simple_spectrum, _poly_real_roots, spectral_data)
+from .errors import (DegreeStall, NegativeLength, NegativeMass,
+                     NonpositiveProduct, RootCountMismatch, RoundTripFailure)
 from .pairs import PeakonPair, StringData, from_string, reflect
 from .poly import DEFAULT_PREC, Poly
 
@@ -45,12 +44,7 @@ class IsospectralCoordinates:
             raise ValueError("sigma and kappa must be co-indexed")
         order = np.argsort(sigma)
         sigma, kappa = sigma[order], kappa[order]
-        if np.any(sigma == 0) or not np.all(np.isfinite(sigma)):
-            raise DuplicateEigenvalue("eigenvalues must be finite and nonzero")
-        if sigma.size > 1 and np.any(
-                np.diff(sigma) <= 1e-12 * np.maximum(np.abs(sigma[1:]),
-                                                     np.abs(sigma[:-1]))):
-            raise DuplicateEigenvalue("eigenvalues must be distinct")
+        _check_simple_spectrum(sigma)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "kappa", kappa)
 
@@ -93,13 +87,10 @@ class IsospectralCoordinates:
 def wdot_from_sigma(sigma) -> np.ndarray:
     """Derivative of prod(1 - z/mu) at each eigenvalue: -(1/lam) prod_{mu != lam}(1 - lam/mu)."""
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if np.any(sigma == 0):
-        raise DuplicateEigenvalue("eigenvalues must be nonzero")
+    _check_simple_spectrum(np.sort(sigma))
     out = np.empty(sigma.size)
     for k, lam in enumerate(sigma):
         others = np.delete(sigma, k)
-        if others.size and np.min(np.abs(others - lam)) <= 1e-12 * abs(lam):
-            raise DuplicateEigenvalue("eigenvalues must be distinct")
         out[k] = -(1.0 / lam) * np.prod(1.0 - lam / others)
     return out
 
@@ -296,46 +287,54 @@ def layer_strip(m: RationalHerglotz, prec: int = DEFAULT_PREC) -> StringData:
 # ----------------------------------------------------------------------------
 # full inverse transform
 
-def _round_trip_residual(pair: PeakonPair,
-                         coords: IsospectralCoordinates) -> float:
+def _round_trip_residual(pair: PeakonPair, coords: IsospectralCoordinates):
+    """Residual of the pair against nonempty coordinates, and the pair's
+    direct transform."""
     data = spectral_data(pair)
     if data.n != coords.n:
-        return np.inf
-    r = np.max(np.abs(data.eigenvalues - coords.sigma)
-               / np.abs(coords.sigma)) if coords.n else 0.0
-    if coords.n:
-        r = max(r, float(np.max(np.abs(data.kappa - coords.kappa)
-                                / np.maximum(1.0, np.abs(coords.kappa)))))
-    return float(r)
+        return np.inf, data
+    r = max(np.max(np.abs(data.eigenvalues - coords.sigma)
+                   / np.abs(coords.sigma)),
+            float(np.max(np.abs(data.kappa - coords.kappa)
+                         / np.maximum(1.0, np.abs(coords.kappa)))))
+    return float(r), data
 
 
-def inverse_transform(coords: IsospectralCoordinates,
-                      prec: int = DEFAULT_PREC) -> PeakonPair:
+@dataclass(frozen=True)
+class Reconstruction:
+    """Certified inverse transform: the pair, the direct transform of the pair
+    that certified it, and the round-trip residual against the input."""
+
+    pair: PeakonPair
+    data: SpectralData
+    residual: float
+
+
+def reconstruct(coords: IsospectralCoordinates,
+                prec: int = DEFAULT_PREC) -> Reconstruction:
     """Unique pair with the given spectrum and logarithmic couplings.
 
     The reconstruction is certified: the direct transform of the result must
     reproduce the input coordinates to the stated tolerance, escalating the
-    working precision once before giving up.
+    working precision once before giving up.  That transform is returned
+    with the pair, so callers read the pair's spectral data from it.
     """
     if coords.n == 0:
-        return PeakonPair.zero()
-    pair = from_string(layer_strip(herglotz_from_coords(coords, "minus"), prec))
-    residual = _round_trip_residual(pair, coords)
-    if residual > ROUND_TRIP_TOL:
-        pair = from_string(
-            layer_strip(herglotz_from_coords(coords, "minus"), 2 * prec))
-        residual = _round_trip_residual(pair, coords)
-        if residual > ROUND_TRIP_TOL:
-            raise RoundTripFailure(
-                f"self-check residual {residual} exceeds {ROUND_TRIP_TOL}")
-    return pair
+        return Reconstruction(PeakonPair.zero(), SpectralData.empty(), 0.0)
+    m = herglotz_from_coords(coords, "minus")
+    for p in (prec, 2 * prec):
+        pair = from_string(layer_strip(m, p))
+        residual, data = _round_trip_residual(pair, coords)
+        if not residual > ROUND_TRIP_TOL:
+            return Reconstruction(pair, data, residual)
+    raise RoundTripFailure(
+        f"self-check residual {residual} exceeds {ROUND_TRIP_TOL}")
 
 
-def inverse_from_norming(sigma, norming, side: str = "left",
-                         prec: int = DEFAULT_PREC) -> PeakonPair:
-    """Reconstruct a pair from eigenvalues and one-sided norming constants."""
-    return inverse_transform(
-        IsospectralCoordinates.from_norming(sigma, norming, side), prec)
+def inverse_transform(coords: IsospectralCoordinates,
+                      prec: int = DEFAULT_PREC) -> PeakonPair:
+    """The certified pair of ``reconstruct``."""
+    return reconstruct(coords, prec).pair
 
 
 def reconstruct_plus_side(coords: IsospectralCoordinates,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LocationMismatch, NegativeMass, NonpositiveLength
-from .pairs import PeakonPair, StringData, eval_u, exp_coefficients, to_string
+from .pairs import PeakonPair, StringData, eval_u, to_string
 from .poly import DEFAULT_PREC, Poly, PolyMatrix
 
 
@@ -135,13 +135,6 @@ def wronskian_pair(f: SolutionVector, g: SolutionVector) -> complex:
         raise LocationMismatch(
             f"solution vectors at different locations: {f.location} vs {g.location}")
     return f.value * g.quasi_derivative - f.quasi_derivative * g.value
-
-
-def _du_left(pair: PeakonPair, x: float) -> float:
-    """Left-continuous derivative of u (piecewise A e^x - B e^{-x})."""
-    A, B = exp_coefficients(pair)
-    j = int(np.searchsorted(pair.sites, x, side="left"))
-    return A[j] * math.exp(x) - B[j] * math.exp(-x)
 
 
 def solve_ivp(pair: PeakonPair, z, x0: float, d1, d2):

@@ -18,7 +18,8 @@ from chflow.direct import (classify_definiteness, norming_by_quadrature,
 from chflow.flow import (BumpTestFunction, QuadratureSpec, conserved_report,
                          continuity_metric, flow_map, make_trajectory,
                          truncate_spectral, weak_residual)
-from chflow.inverse import IsospectralCoordinates, inverse_transform
+from chflow.errors import RoundTripFailure
+from chflow.inverse import IsospectralCoordinates, inverse_transform, reconstruct
 from chflow.pairs import PeakonPair, reflect
 from chflow.stringsys import decaying_solution_left
 
@@ -30,8 +31,9 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def _random_suite_pair(rng):
-    n = int(rng.integers(1, 9))
+def _random_suite_pair(rng, n=None):
+    if n is None:
+        n = int(rng.integers(1, 9))
     sites = np.cumsum(rng.uniform(0.2, 1.0, n))
     sites += rng.uniform(-4.0, 0.0) - sites[0]
     weights = rng.uniform(-2.0, 2.0, n)
@@ -248,6 +250,20 @@ def test_criterion_8_flow_correctness():
     _report(8, ok, f"speed err {worst_pos:.3e}, group law {worst_group:.3e}, "
                    f"isospectrality {worst_iso:.3e}, conserved drift "
                    f"{worst_drift:.3e} (collision included)")
+
+
+def test_isospectral_check_is_tighter_than_the_certificate():
+    # this 11-peak pair certifies (tolerance 1e-8) with an eigenvalue
+    # residual between 1e-9 and 1e-8, so a trajectory, which holds its
+    # snapshots to the base spectrum within 1e-9, must refuse it
+    pair = _random_suite_pair(np.random.default_rng(108), 11)
+    data = spectral_data(pair)
+    rec = reconstruct(IsospectralCoordinates(data.eigenvalues, data.kappa))
+    eig = float(np.max(np.abs(rec.data.eigenvalues - data.eigenvalues)
+                       / np.abs(data.eigenvalues)))
+    assert 1e-9 < eig <= rec.residual <= 1e-8
+    with pytest.raises(RoundTripFailure, match="not isospectral"):
+        make_trajectory(pair, [0.0])
 
 
 def test_criterion_9_weak_solution_residuals():

@@ -6,6 +6,7 @@ import pytest
 
 import chflow.cli
 import chflow.direct
+import chflow.inverse
 from chflow.cli import main
 from chflow.pairs import PeakonPair
 
@@ -72,18 +73,19 @@ def test_inverse_norming_residual_compares_with_the_input(tmp_path, capsys,
     norm = _write(tmp_path, "n.json", {"eigenvalues": spec["eigenvalues"],
                                        "norming": spec["norming_left"],
                                        "side": "left"})
-    exact = chflow.cli.inverse_transform
+    exact = chflow.inverse.from_string
 
-    def off_by_1e6(*args, **kwargs):
+    def off_by_1e11(*args, **kwargs):
         pair = exact(*args, **kwargs)
-        return PeakonPair(pair.sites, pair.weights + 1e-6, pair.atoms)
+        return PeakonPair(pair.sites, pair.weights + 1e-11, pair.atoms)
 
-    monkeypatch.setattr(chflow.cli, "inverse_transform", off_by_1e6)
+    # a reconstruction that still certifies must print its nonzero residual
+    monkeypatch.setattr(chflow.inverse, "from_string", off_by_1e11)
     capsys.readouterr()
     assert main(["inverse", norm, "-o", str(tmp_path / "out.json")]) == 0
     err = capsys.readouterr().err
     residual = float(err.split("round-trip residual:")[1].split()[0])
-    assert residual > 1e-9
+    assert residual > 1e-12
 
 
 def test_inverse_pure_atom(tmp_path):
@@ -157,11 +159,26 @@ def test_check_indefinite_pair(tmp_path, capsys):
     assert max(report["parseval_residuals"].values()) <= 1e-9
 
 
-@pytest.mark.parametrize("command, builds", [("direct", 1), ("check", 2)])
+@pytest.mark.parametrize("command, builds", [
+    ("direct", 1), ("check", 2), ("inverse", 1), ("inverse-norming", 1),
+    ("evolve", 4)])
 def test_command_transforms_its_pair_once(tmp_path, monkeypatch, command,
                                           builds):
-    # check builds a second transfer product to certify its round trip
+    # check builds a second transfer product to certify its round trip;
+    # inverse builds only its certificate's; evolve builds one for the input
+    # pair and one per certified snapshot (three times)
     pair_file = _write(tmp_path, "pair.json", SIGNED_ATOM)
+    spec_file = tmp_path / "spec.json"
+    assert main(["direct", pair_file, "-o", str(spec_file)]) == 0
+    spec = json.loads(spec_file.read_text())
+    kappa = _write(tmp_path, "k.json", {"eigenvalues": spec["eigenvalues"],
+                                        "kappa": spec["kappa"]})
+    norming = _write(tmp_path, "n.json", {"eigenvalues": spec["eigenvalues"],
+                                          "norming": spec["norming_left"],
+                                          "side": "left"})
+    argv = {"direct": [pair_file], "check": [pair_file], "inverse": [kappa],
+            "inverse-norming": [norming],
+            "evolve": [pair_file, "--times", "0,1,3"]}[command]
     exact = chflow.direct.cumulative_transfer
     count = []
 
@@ -170,7 +187,8 @@ def test_command_transforms_its_pair_once(tmp_path, monkeypatch, command,
         return exact(*args, **kwargs)
 
     monkeypatch.setattr(chflow.direct, "cumulative_transfer", counted)
-    assert main([command, pair_file]) == 0
+    out = str(tmp_path / "out.txt")
+    assert main([command.split("-")[0], *argv, "-o", out]) == 0
     assert len(count) == builds
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from chflow.direct import classify_definiteness, spectral_data, spectral_from_coords, weyl_function
+import chflow.direct
+from chflow.direct import (SpectralData, classify_definiteness, spectral_data,
+                           spectral_from_coords, weyl_function)
 from chflow.errors import SupportNotCovered
 from chflow.flow import (BumpTestFunction, QuadratureSpec, Trajectory,
                          atoms_sidecar, conserved_report, continuity_metric,
@@ -104,10 +106,31 @@ def test_definiteness_preserved_along_flow():
 
 def test_trajectory_validation():
     d = spectral_data(PeakonPair([0.0], [1.0], [0.0]))
+    zero, empty = PeakonPair.zero(), SpectralData.empty()
     with pytest.raises(ValueError):
-        Trajectory([1.0, 0.0], (PeakonPair.zero(), PeakonPair.zero()), d)
+        Trajectory([1.0, 0.0], (zero, zero), d, (empty, empty))
     with pytest.raises(ValueError):
-        Trajectory([0.0], (), d)
+        Trajectory([0.0], (), d, ())
+    with pytest.raises(ValueError):
+        Trajectory([0.0], (zero,), d, ())
+
+
+def test_trajectory_transforms_each_snapshot_once(monkeypatch):
+    # one transfer product for the base pair and one per certified snapshot;
+    # the isospectral check and the conserved report read the certificates
+    pair = PeakonPair([-1.0, 0.2, 1.1], [0.8, -0.5, 0.6], [0.0, 0.3, 0.0])
+    exact = chflow.direct.cumulative_transfer
+    count = []
+
+    def counted(*args, **kwargs):
+        count.append(1)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(chflow.direct, "cumulative_transfer", counted)
+    traj = make_trajectory(pair, np.linspace(0.0, 2.0, 5))
+    rep = conserved_report(traj)
+    assert len(count) == 6
+    assert rep.wronskian_drift < 1e-12
 
 
 def test_conserved_report_single_peakon():
@@ -200,8 +223,11 @@ def test_snapshot_export_formats():
 def test_snapshot_matches_flow_map():
     pair = PeakonPair([-0.3], [0.8], [0.2])
     data = spectral_data(pair)
-    a = snapshot(data, 1.1)
+    rec = snapshot(data, 1.1)
+    a = rec.pair
     b = flow_map(pair, 1.1)
+    assert rec.residual <= 1e-8
+    assert rec.data.to_json() == spectral_data(a).to_json()
     assert np.allclose(a.sites, b.sites, atol=1e-10)
     assert np.allclose(a.weights, b.weights, atol=1e-10)
     assert np.allclose(a.atoms, b.atoms, atol=1e-10)

@@ -9,9 +9,8 @@ from chflow.direct import spectral_data
 from chflow.errors import DuplicateEigenvalue, NonpositiveProduct
 from chflow.inverse import (IsospectralCoordinates, _strip_once,
                             admissibility_check, herglotz_from_coords,
-                            inverse_from_norming, inverse_transform,
-                            layer_strip, reconstruct_plus_side,
-                            wdot_from_sigma)
+                            inverse_transform, layer_strip,
+                            reconstruct_plus_side, wdot_from_sigma)
 from chflow.pairs import PeakonPair, from_string
 
 
@@ -133,15 +132,20 @@ def test_inverse_from_norming_both_sides():
     sites = np.sort(rng.uniform(-2, 2, 3)) + [0.0, 0.3, 0.6]
     pair = PeakonPair(sites, rng.uniform(0.3, 1.5, 3), np.zeros(3))
     data = spectral_data(pair)
-    left = inverse_from_norming(data.eigenvalues, data.norming_left, "left")
-    right = inverse_from_norming(data.eigenvalues, data.norming_right, "right")
+
+    def from_norming(sigma, norming, side):
+        return inverse_transform(
+            IsospectralCoordinates.from_norming(sigma, norming, side))
+
+    left = from_norming(data.eigenvalues, data.norming_left, "left")
+    right = from_norming(data.eigenvalues, data.norming_right, "right")
     for back in (left, right):
         assert np.allclose(back.sites, pair.sites, atol=1e-8)
         assert np.allclose(back.weights, pair.weights, atol=1e-8)
     with pytest.raises(NonpositiveProduct):
-        inverse_from_norming([0.5], [-1.0], "left")
+        from_norming([0.5], [-1.0], "left")
     with pytest.raises(ValueError):
-        inverse_from_norming([0.5], [2.0], "sideways")
+        from_norming([0.5], [2.0], "sideways")
 
 
 def test_plus_side_reconstruction_agrees():
