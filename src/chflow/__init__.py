@@ -23,8 +23,7 @@ from .flow import (BumpTestFunction, ConservedReport, QuadratureSpec,
                    continuity_metric, eval_pressure, evolve_spectral,
                    flow_map, make_trajectory, snapshot, snapshots_csv,
                    truncate_spectral, weak_residual)
-from .inverse import (AdmissibilityReport, IsospectralCoordinates,
-                      Reconstruction, admissibility_check,
+from .inverse import (IsospectralCoordinates, Reconstruction,
                       herglotz_from_coords, inverse_transform, layer_strip,
                       reconstruct, reconstruct_plus_side, wdot_from_sigma)
 from .pairs import (MeasureSpec, NonEventWarning, PeakonPair, StringData,

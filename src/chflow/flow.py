@@ -18,16 +18,21 @@ import numpy as np
 
 from .direct import SpectralData, spectral_data, spectral_from_coords
 from .errors import RoundTripFailure, SupportNotCovered
-from .inverse import (IsospectralCoordinates, Reconstruction, reconstruct,
-                      wdot_from_sigma)
+from .inverse import IsospectralCoordinates, Reconstruction, reconstruct
 from .pairs import PeakonPair, eval_u, exp_coefficients, mu_interval, reflect
-from .poly import DEFAULT_PREC, Poly
+from .poly import DEFAULT_PREC
 
 ISOSPECTRAL_TOL = 1e-9
 
 
 # ----------------------------------------------------------------------------
 # spectral evolution
+
+def _evolved_coords(data: SpectralData, t: float) -> IsospectralCoordinates:
+    """Coordinates of the data after time t: each kappa moves by t/(2 lam)."""
+    return IsospectralCoordinates(data.eigenvalues,
+                                  data.kappa + t / (2.0 * data.eigenvalues))
+
 
 def evolve_spectral(data: SpectralData, t: float) -> SpectralData:
     """Evolve spectral data by time t: kappa moves linearly, nothing else.
@@ -37,8 +42,8 @@ def evolve_spectral(data: SpectralData, t: float) -> SpectralData:
     """
     if data.n == 0 or t == 0.0:
         return data
-    kappa = data.kappa + t / (2.0 * data.eigenvalues)
-    out = spectral_from_coords(data.eigenvalues, kappa)
+    co = _evolved_coords(data, t)
+    out = spectral_from_coords(co.sigma, co.kappa)
     return SpectralData(out.eigenvalues, out.kappa, out.coupling,
                         out.norming_right, out.norming_left, data.wronskian)
 
@@ -46,32 +51,23 @@ def evolve_spectral(data: SpectralData, t: float) -> SpectralData:
 def truncate_spectral(data: SpectralData, k: float) -> SpectralData:
     """Keep eigenvalues with |lam| <= k and their left norming constants.
 
-    The characteristic polynomial, couplings and right norming constants are
-    recomputed for the reduced eigenvalue set; the retained left norming
-    constants are carried over verbatim.
+    Couplings, norming constants and the characteristic polynomial of the
+    reduced spectrum are recomputed from these kept values.
     """
     if not k > 0:
         raise ValueError("truncation radius must be positive")
     keep = np.abs(data.eigenvalues) <= k
     if not np.any(keep):
         return SpectralData.empty()
-    sigma = data.eigenvalues[keep]
-    gminus = data.norming_left[keep]
-    wd = wdot_from_sigma(sigma)
-    weights = 1.0 / (sigma * gminus)
-    kappa = -np.log(weights * np.abs(sigma * wd))
-    coupling = -np.sign(sigma * wd) * np.exp(kappa)
-    gplus = wd ** 2 / gminus
-    w = Poly.from_roots(sigma)
-    return SpectralData(sigma, kappa, coupling, gplus, gminus,
-                        tuple(w.to_floats()))
+    co = IsospectralCoordinates.from_norming(data.eigenvalues[keep],
+                                             data.norming_left[keep])
+    return spectral_from_coords(co.sigma, co.kappa)
 
 
 def snapshot(data: SpectralData, t: float,
              prec: int = DEFAULT_PREC) -> Reconstruction:
     """Certified reconstruction of the evolved spectral data at time t."""
-    ev = evolve_spectral(data, t)
-    return reconstruct(IsospectralCoordinates(ev.eigenvalues, ev.kappa), prec)
+    return reconstruct(_evolved_coords(data, t), prec)
 
 
 def flow_map(pair: PeakonPair, t: float, prec: int = DEFAULT_PREC) -> PeakonPair:

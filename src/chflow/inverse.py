@@ -95,37 +95,6 @@ def wdot_from_sigma(sigma) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    weight_sum: float
-    partial_sums: tuple
-    counting_ratios: tuple
-
-
-def admissibility_check(coords: IsospectralCoordinates) -> AdmissibilityReport:
-    """Summability diagnostics; finite spectra are always admissible.
-
-    Reports the weighted coupling sum, its partial sums by increasing modulus
-    and the eigenvalue counting ratio over dyadic radii.
-    """
-    if coords.n == 0:
-        return AdmissibilityReport(True, 0.0, (), ())
-    wd = wdot_from_sigma(coords.sigma)
-    terms = np.exp(np.abs(coords.kappa)) / (coords.sigma ** 2
-                                            * np.abs(coords.sigma * wd))
-    order = np.argsort(np.abs(coords.sigma))
-    partial = np.cumsum(terms[order])
-    rmax = float(np.max(np.abs(coords.sigma)))
-    radii, ratios = 1.0, []
-    while radii <= 2 * rmax:
-        ratios.append(float(np.sum(np.abs(coords.sigma) <= radii) / radii))
-        radii *= 2
-    return AdmissibilityReport(bool(np.isfinite(partial[-1])),
-                               float(partial[-1]), tuple(map(float, partial)),
-                               tuple(ratios))
-
-
 def herglotz_from_coords(coords: IsospectralCoordinates,
                          side: str = "minus") -> RationalHerglotz:
     """Boundary Herglotz function of the coordinates on the requested side."""
@@ -175,12 +144,25 @@ def _respectralize(num, den, prec, scale=0.0):
     return near_poles, near_weights, b
 
 
-def _strip_once(m: RationalHerglotz, prec: int,
+def layer_strip(m: RationalHerglotz, prec: int = DEFAULT_PREC,
                 lenient: bool = False) -> StringData:
+    """Recover minus-side string data whose boundary Herglotz function is m.
+
+    Each step re-canonicalizes the remainder into pole-residue form, reads a
+    point mass off its linear growth at infinity, then strips one
+    constant-coefficient interval using the leading-segment identities
+    (value = -sum w/lam, length = 1/sum w); the pole count drops by one per
+    interval, so termination is structural.  A point mass shows up as a
+    pole far beyond the data scale and is read as linear growth.  A step
+    that noise stalls raises ``DegreeStall``; a lenient pass instead folds
+    sub-resolution intervals into point masses.
+    """
+    if m.n == 0:
+        return StringData.empty("minus")
     num, den = m.as_poly_pair(prec)
     lengths, values, masses = [], [], []
     max_steps = 2 * m.n + 2
-    pole_scale = float(np.max(np.abs(m.poles))) if m.n else 1.0
+    pole_scale = float(np.max(np.abs(m.poles)))
     with mp.workprec(prec):
         for _ in range(max_steps):
             if num.is_zero:
@@ -260,30 +242,6 @@ def _collapse_spikes(lengths, values, masses):
     return out_l, out_v, out_m
 
 
-def layer_strip(m: RationalHerglotz, prec: int = DEFAULT_PREC) -> StringData:
-    """Recover minus-side string data whose boundary Herglotz function is m.
-
-    Each step re-canonicalizes the remainder into pole-residue form, reads a
-    point mass off its linear growth at infinity, then strips one
-    constant-coefficient interval using the leading-segment identities
-    (value = -sum w/lam, length = 1/sum w); the pole count drops by one per
-    interval, so termination is structural.  A point mass shows up as a
-    pole far beyond the data scale and is read as linear growth.  If noise
-    stalls a step, retries at twice the precision, then runs a lenient pass
-    at four times the precision that folds sub-resolution intervals into
-    point masses.
-    """
-    if m.n == 0:
-        return StringData.empty("minus")
-    try:
-        return _strip_once(m, prec)
-    except DegreeStall:
-        try:
-            return _strip_once(m, 2 * prec)
-        except DegreeStall:
-            return _strip_once(m, 4 * prec, lenient=True)
-
-
 # ----------------------------------------------------------------------------
 # full inverse transform
 
@@ -315,20 +273,32 @@ def reconstruct(coords: IsospectralCoordinates,
     """Unique pair with the given spectrum and logarithmic couplings.
 
     The reconstruction is certified: the direct transform of the result must
-    reproduce the input coordinates to the stated tolerance, escalating the
-    working precision once before giving up.  That transform is returned
-    with the pair, so callers read the pair's spectral data from it.
+    reproduce the input coordinates to ``ROUND_TRIP_TOL``.  The precision
+    ladder strips strictly at ``prec`` and ``2*prec``, then leniently at
+    ``4*prec``; a stalled strip or a failed certificate moves to the next
+    rung, the first certified rung wins, and ``RoundTripFailure`` names each
+    rung's failure.  The certifying transform is returned with the pair, so
+    callers read the pair's spectral data from it.
     """
     if coords.n == 0:
         return Reconstruction(PeakonPair.zero(), SpectralData.empty(), 0.0)
     m = herglotz_from_coords(coords, "minus")
-    for p in (prec, 2 * prec):
-        pair = from_string(layer_strip(m, p))
+    failures, cause = [], None
+    for p, lenient in ((prec, False), (2 * prec, False), (4 * prec, True)):
+        rung = f"{p} bits{' lenient' if lenient else ''}"
+        try:
+            pair = from_string(layer_strip(m, p, lenient))
+        except DegreeStall as exc:
+            failures.append(f"{rung}: {exc}")
+            cause = exc
+            continue
         residual, data = _round_trip_residual(pair, coords)
         if not residual > ROUND_TRIP_TOL:
             return Reconstruction(pair, data, residual)
+        failures.append(f"{rung}: residual {residual:.3e}")
     raise RoundTripFailure(
-        f"self-check residual {residual} exceeds {ROUND_TRIP_TOL}")
+        f"no rung certified the reconstruction to {ROUND_TRIP_TOL} ("
+        + "; ".join(failures) + ")") from cause
 
 
 def inverse_transform(coords: IsospectralCoordinates,

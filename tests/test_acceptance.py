@@ -266,6 +266,20 @@ def test_isospectral_check_is_tighter_than_the_certificate():
         make_trajectory(pair, [0.0])
 
 
+def test_lenient_rung_certifies_after_wrong_strict_passes():
+    # a Herglotz weight of 2.8e-71: the strict 128- and 256-bit passes
+    # return wrong pairs without stalling, the lenient 512-bit pass is right
+    pair = _random_suite_pair(np.random.default_rng(137), 9)
+    data = spectral_data(pair)
+    back = inverse_transform(IsospectralCoordinates(data.eigenvalues,
+                                                    data.kappa))
+    assert back.n == pair.n
+    err = max(np.max(np.abs(back.sites - pair.sites)),
+              np.max(np.abs(back.weights - pair.weights)),
+              np.max(np.abs(back.atoms - pair.atoms)))
+    assert err <= 1e-10
+
+
 def test_criterion_9_weak_solution_residuals():
     peakon = make_trajectory(PeakonPair([0.0], [1.0], [0.0]),
                              np.linspace(-2.0, 2.0, 9))

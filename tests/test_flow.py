@@ -8,7 +8,7 @@ import pytest
 import chflow.direct
 from chflow.direct import (SpectralData, classify_definiteness, spectral_data,
                            spectral_from_coords, weyl_function)
-from chflow.errors import SupportNotCovered
+from chflow.errors import RoundTripFailure, SupportNotCovered
 from chflow.flow import (BumpTestFunction, QuadratureSpec, Trajectory,
                          atoms_sidecar, conserved_report, continuity_metric,
                          eval_pressure, evolve_spectral, flow_map,
@@ -231,3 +231,24 @@ def test_snapshot_matches_flow_map():
     assert np.allclose(a.sites, b.sites, atol=1e-10)
     assert np.allclose(a.weights, b.weights, atol=1e-10)
     assert np.allclose(a.atoms, b.atoms, atol=1e-10)
+
+
+def test_refusal_near_a_collision_strips_once_per_rung(monkeypatch):
+    # within 1e-3 of the peak-antipeak collision every strict pass stalls
+    # and the lenient one fails its certificate; one pass per rung is made
+    pair = PeakonPair([-1.0, 1.0], [1.0, -1.0], [0.0, 0.0])
+    data = spectral_data(pair)
+    herglotz = chflow.direct.RationalHerglotz
+    exact = herglotz.as_poly_pair
+    precs = []
+
+    def recorded(self, prec):
+        precs.append(prec)
+        return exact(self, prec)
+
+    monkeypatch.setattr(herglotz, "as_poly_pair", recorded)
+    with pytest.raises(RoundTripFailure) as err:
+        snapshot(data, 1.78242 - 1e-4)
+    assert precs == [128, 256, 512]
+    for rung in ("128 bits", "256 bits", "512 bits lenient"):
+        assert rung in str(err.value)

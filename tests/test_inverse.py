@@ -1,4 +1,4 @@
-"""Inverse transform: admissibility, layer stripping, certification."""
+"""Inverse transform: coordinates, layer stripping, certification."""
 
 import math
 
@@ -7,8 +7,7 @@ import pytest
 
 from chflow.direct import spectral_data
 from chflow.errors import DuplicateEigenvalue, NonpositiveProduct
-from chflow.inverse import (IsospectralCoordinates, _strip_once,
-                            admissibility_check, herglotz_from_coords,
+from chflow.inverse import (IsospectralCoordinates, herglotz_from_coords,
                             inverse_transform, layer_strip,
                             reconstruct_plus_side, wdot_from_sigma)
 from chflow.pairs import PeakonPair, from_string
@@ -30,15 +29,6 @@ def test_wdot_matches_polynomial_derivative():
     dw = Poly.from_roots(sigma).deriv()
     assert wdot_from_sigma(sigma) == pytest.approx(
         [float(dw(s)) for s in sigma], rel=1e-12)
-
-
-def test_admissibility_hand_values():
-    r = admissibility_check(IsospectralCoordinates([0.5], [0.0]))
-    assert r.admissible
-    assert r.weight_sum == pytest.approx(4.0)
-    r2 = admissibility_check(IsospectralCoordinates([-1.0, 1.0], [0.0, 0.0]))
-    assert r2.admissible
-    assert r2.weight_sum == pytest.approx(1.0)
 
 
 def test_single_eigenvalue_gives_peakon():
@@ -81,7 +71,7 @@ def _strip_128_error(pair):
     data = spectral_data(pair)
     m = herglotz_from_coords(
         IsospectralCoordinates(data.eigenvalues, data.kappa), "minus")
-    back = from_string(_strip_once(m, 128))
+    back = from_string(layer_strip(m, 128))
     assert back.n == pair.n
     return max(np.max(np.abs(back.sites - pair.sites)),
                np.max(np.abs(back.weights - pair.weights)),
