@@ -13,11 +13,11 @@ from .direct import (DefinitenessReport, RationalHerglotz, SpectralData,
                      spectral_from_coords, spectrum, trace_formulas,
                      weyl_function, wronskian_poly)
 from .errors import (ChflowError, DegreeStall, DuplicateEigenvalue,
-                     LocationMismatch, NegativeMass, NonEvent,
-                     NonpositiveLength, NonpositiveProduct, NotAnEigenvalue,
-                     PairFormatError, PoleHit, RootCountMismatch,
-                     RoundTripFailure, SingularInterpolation,
-                     SupportNotCovered, WeightNonpositive)
+                     LocationMismatch, NegativeMass, NonpositiveLength,
+                     NonpositiveProduct, NotAnEigenvalue, PairFormatError,
+                     PoleHit, RootCountMismatch, RoundTripFailure,
+                     SingularInterpolation, SupportNotCovered,
+                     WeightNonpositive)
 from .flow import (BumpTestFunction, ConservedReport, QuadratureSpec,
                    Trajectory, atoms_sidecar, conserved_report,
                    continuity_metric, eval_pressure, evolve_spectral,

@@ -194,7 +194,7 @@ def cmd_check(args) -> int:
 # ----------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_triple(text: str, name: str, integer_count: bool):
+def _parse_triple(text: str, name: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"{name} must be 'a,b,n'")
@@ -246,11 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="pair JSON -> snapshot CSV")
     p.add_argument("pair_file")
     common(p)
-    p.add_argument("--times", type=lambda s: _parse_triple(s, "times", True),
+    p.add_argument("--times", type=lambda s: _parse_triple(s, "times"),
                    default=None, help="time window t0,t1,nt")
     p.add_argument("--at", action="append", default=None, metavar="T",
                    help="additional snapshot time (repeatable)")
-    p.add_argument("--grid", type=lambda s: _parse_triple(s, "grid", True),
+    p.add_argument("--grid", type=lambda s: _parse_triple(s, "grid"),
                    default=None, help="sampling grid a,b,n (default -10,10,201)")
     p.add_argument("--atoms-output", default=None,
                    help="write the atoms JSON sidecar here")

@@ -23,7 +23,7 @@ from .errors import (DuplicateEigenvalue, NotAnEigenvalue, PoleHit,
                      RootCountMismatch, WeightNonpositive)
 from .pairs import (PeakonPair, _minus_events, mu_interval, reflect,
                     to_string)
-from .poly import DEFAULT_PREC, Poly
+from .poly import DEFAULT_PREC, PREC_LADDER, Poly
 from .stringsys import cumulative_transfer
 
 CROSS_CHECK_TOL = 1e-8
@@ -176,18 +176,23 @@ def _poly_real_roots(w: Poly):
     return roots
 
 
-def _wronskian_roots(pair: PeakonPair, prec: int):
-    """Polished characteristic roots; escalates precision once if the root
-    count slips."""
-    try:
-        return _poly_real_roots(wronskian_poly(pair, prec))
-    except RootCountMismatch:
-        return _poly_real_roots(wronskian_poly(pair, 2 * prec))
+def _climb(attempt, prec: int):
+    """``attempt(p)`` at the first rung p of ``PREC_LADDER`` that raises no
+    ``RootCountMismatch`` or ``WeightNonpositive``; past the last rung, its
+    error class is raised again, naming each rung's bits and cause."""
+    failures = []
+    for k in PREC_LADDER:
+        try:
+            return attempt(k * prec)
+        except (RootCountMismatch, WeightNonpositive) as exc:
+            failures.append(f"{k * prec} bits: {exc}")
+            last = exc
+    raise type(last)("every rung failed (" + "; ".join(failures) + ")") from last
 
 
 def spectrum(pair: PeakonPair, prec: int = DEFAULT_PREC) -> np.ndarray:
-    """Sorted eigenvalues; escalates precision once if the root count slips."""
-    return np.array([float(r) for r in _wronskian_roots(pair, prec)])
+    """Sorted eigenvalues: those of ``spectral_data``, the one direct transform."""
+    return spectral_data(pair, prec).eigenvalues
 
 
 # ----------------------------------------------------------------------------
@@ -226,12 +231,22 @@ def _matched_coupling(pair: PeakonPair, lam, prec: int) -> float:
         return float((g1 + z * xi_n * g2) / z)
 
 
+def _coupling_norming(lams, dw_vals, kappas) -> np.ndarray:
+    """Float64 rows of couplings, right and left norming constants, from
+    eigenvalues, Wronskian derivatives and log couplings at working precision."""
+    out = np.empty((3, len(lams)))
+    for k, (lam, dw_val, kap) in enumerate(zip(lams, dw_vals, kappas)):
+        c = -mp.sign(lam * dw_val) * mp.e ** kap
+        out[:, k] = float(c), float(-dw_val / c), float(-dw_val * c)
+    return out
+
+
 def _spectral_data_attempt(pair: PeakonPair, prec: int) -> SpectralData:
     q = cumulative_transfer(to_string(pair, "minus"), prec)
     w = q.a22
     roots = _poly_real_roots(w)
     dw = w.deriv()
-    eigenvalues, kappa, coupling, gplus, gminus = [], [], [], [], []
+    dw_vals, kappa = [], []
     with mp.workprec(prec):
         for lam in roots:
             # minus-side Weyl weight
@@ -240,39 +255,28 @@ def _spectral_data_attempt(pair: PeakonPair, prec: int) -> SpectralData:
             if weight <= 0:
                 raise WeightNonpositive(
                     f"Weyl weight non-positive at eigenvalue {float(lam)}")
-            kap = -mp.log(weight * abs(lam * dw_val))
-            c = -mp.sign(lam * dw_val) * mp.e ** kap
-            eigenvalues.append(float(lam))
-            kappa.append(float(kap))
-            coupling.append(float(c))
-            gminus.append(float(-dw_val * c))
-            gplus.append(float(-dw_val / c))
+            dw_vals.append(dw_val)
+            kappa.append(-mp.log(weight * abs(lam * dw_val)))
+        coupling, gplus, gminus = _coupling_norming(roots, dw_vals, kappa)
     # independent path: eigenfunction matching through the transfer factors
     for lam, c in zip(roots, coupling):
         c_match = _matched_coupling(pair, lam, prec)
         if abs(c_match - c) > CROSS_CHECK_TOL * max(abs(c), abs(c_match)):
             raise RootCountMismatch(
                 f"coupling cross-check failed at {lam}: {c} vs {c_match}")
-    return SpectralData(np.array(eigenvalues), np.array(kappa),
-                        np.array(coupling), np.array(gplus), np.array(gminus),
-                        tuple(w.to_floats()))
+    return SpectralData(roots, kappa, coupling, gplus, gminus, w.to_floats())
 
 
 def spectral_data(pair: PeakonPair, prec: int = DEFAULT_PREC) -> SpectralData:
     """Full direct transform of a pair; empty data for the zero pair.
 
-    Tries ``prec``, then twice and four times that precision when a root
-    count, a Weyl weight or the coupling cross-check slips.
+    Walks the rungs of ``PREC_LADDER`` from ``prec`` while a root count, a
+    Weyl weight or the coupling cross-check slips; when every rung slips,
+    the last rung's error names each rung's bits and cause.
     """
     if pair.n == 0 or not (np.any(pair.weights) or np.any(pair.atoms)):
         return SpectralData.empty()
-    try:
-        return _spectral_data_attempt(pair, prec)
-    except (RootCountMismatch, WeightNonpositive):
-        try:
-            return _spectral_data_attempt(pair, 2 * prec)
-        except (RootCountMismatch, WeightNonpositive):
-            return _spectral_data_attempt(pair, 4 * prec)
+    return _climb(lambda p: _spectral_data_attempt(pair, p), prec)
 
 
 def weyl_function(pair: PeakonPair, side: str = "minus",
@@ -309,16 +313,10 @@ def spectral_from_coords(sigma, kappa, prec: int = DEFAULT_PREC) -> SpectralData
     _check_simple_spectrum(sigma)
     w = Poly.from_roots(sigma, prec)
     dw = w.deriv()
-    coupling = np.empty(sigma.size)
-    gplus = np.empty(sigma.size)
-    gminus = np.empty(sigma.size)
     with mp.workprec(prec):
-        for k, (lam, kap) in enumerate(zip(sigma, kappa)):
-            dwv = dw(mpf(float(lam)))
-            c = -mp.sign(mpf(float(lam)) * dwv) * mp.e ** mpf(float(kap))
-            coupling[k] = float(c)
-            gminus[k] = float(-dwv * c)
-            gplus[k] = float(-dwv / c)
+        lams = [mpf(float(lam)) for lam in sigma]
+        coupling, gplus, gminus = _coupling_norming(
+            lams, [dw(lam) for lam in lams], [mpf(float(k)) for k in kappa])
     return SpectralData(sigma, kappa, coupling, gplus, gminus,
                         tuple(w.to_floats()))
 
@@ -335,7 +333,8 @@ def norming_by_quadrature(pair: PeakonPair, lam: float, side: str = "minus",
     """
     if side == "plus":
         return norming_by_quadrature(reflect(pair), lam, "minus", tol)
-    roots = _wronskian_roots(pair, DEFAULT_PREC)
+    roots = _climb(lambda p: _poly_real_roots(wronskian_poly(pair, p)),
+                   DEFAULT_PREC)
     dists = [abs(float(r) - lam) for r in roots]
     if not roots or min(dists) > tol * max(1.0, abs(lam)):
         raise NotAnEigenvalue(f"{lam} is not in the spectrum")
@@ -385,10 +384,7 @@ def parseval_check(pair: PeakonPair, data: SpectralData,
     s = to_string(pair, side)
     left = float(np.sum(s.values ** 2 * s.lengths) + np.sum(s.masses))
     norming = data.norming_left if side == "minus" else data.norming_right
-    if data.n:
-        right = float(np.sum(1.0 / (data.eigenvalues ** 3 * norming)))
-    else:
-        right = 0.0
+    right = float(np.sum(1.0 / (data.eigenvalues ** 3 * norming)))
     return abs(left - right)
 
 

@@ -9,10 +9,6 @@ class PairFormatError(ChflowError):
     """Invalid peakon-pair data (unsorted sites, negative atom weight, bad JSON)."""
 
 
-class NonEvent(ChflowError):
-    """A string coordinate that carries neither a coefficient step nor a point mass."""
-
-
 class SingularInterpolation(ChflowError):
     """Peakon interpolation nodes coincide; the kernel matrix is singular."""
 

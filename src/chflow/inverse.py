@@ -17,9 +17,10 @@ from mpmath import mp
 from .direct import (RationalHerglotz, SpectralData, _cancelled_pair,
                      _check_simple_spectrum, _poly_real_roots, spectral_data)
 from .errors import (DegreeStall, NegativeLength, NegativeMass,
-                     NonpositiveProduct, RootCountMismatch, RoundTripFailure)
+                     NonpositiveProduct, RootCountMismatch, RoundTripFailure,
+                     WeightNonpositive)
 from .pairs import PeakonPair, StringData, from_string, reflect
-from .poly import DEFAULT_PREC, Poly
+from .poly import DEFAULT_PREC, PREC_LADDER, Poly
 
 ROUND_TRIP_TOL = 1e-8
 MASS_ZERO_TOL = 1e-14
@@ -245,10 +246,11 @@ def _collapse_spikes(lengths, values, masses):
 # ----------------------------------------------------------------------------
 # full inverse transform
 
-def _round_trip_residual(pair: PeakonPair, coords: IsospectralCoordinates):
+def _round_trip_residual(pair: PeakonPair, coords: IsospectralCoordinates,
+                         prec: int):
     """Residual of the pair against nonempty coordinates, and the pair's
-    direct transform."""
-    data = spectral_data(pair)
+    direct transform, whose precision ladder starts at ``prec``."""
+    data = spectral_data(pair, prec)
     if data.n != coords.n:
         return np.inf, data
     r = max(np.max(np.abs(data.eigenvalues - coords.sigma)
@@ -273,26 +275,28 @@ def reconstruct(coords: IsospectralCoordinates,
     """Unique pair with the given spectrum and logarithmic couplings.
 
     The reconstruction is certified: the direct transform of the result must
-    reproduce the input coordinates to ``ROUND_TRIP_TOL``.  The precision
-    ladder strips strictly at ``prec`` and ``2*prec``, then leniently at
-    ``4*prec``; a stalled strip or a failed certificate moves to the next
-    rung, the first certified rung wins, and ``RoundTripFailure`` names each
-    rung's failure.  The certifying transform is returned with the pair, so
+    reproduce the input coordinates to ``ROUND_TRIP_TOL``.  Each rung p of
+    ``PREC_LADDER`` strips at p, leniently on the last rung, and certifies
+    with the direct transform from p.  A stalled strip, a certificate that
+    raises or one that misses the tolerance moves to the next rung, the
+    first certified rung wins, and ``RoundTripFailure`` names each rung's
+    failure.  The certifying transform is returned with the pair, so
     callers read the pair's spectral data from it.
     """
     if coords.n == 0:
         return Reconstruction(PeakonPair.zero(), SpectralData.empty(), 0.0)
     m = herglotz_from_coords(coords, "minus")
     failures, cause = [], None
-    for p, lenient in ((prec, False), (2 * prec, False), (4 * prec, True)):
+    for k in PREC_LADDER:
+        p, lenient = k * prec, k == PREC_LADDER[-1]
         rung = f"{p} bits{' lenient' if lenient else ''}"
         try:
             pair = from_string(layer_strip(m, p, lenient))
-        except DegreeStall as exc:
+            residual, data = _round_trip_residual(pair, coords, p)
+        except (DegreeStall, RootCountMismatch, WeightNonpositive) as exc:
             failures.append(f"{rung}: {exc}")
             cause = exc
             continue
-        residual, data = _round_trip_residual(pair, coords)
         if not residual > ROUND_TRIP_TOL:
             return Reconstruction(pair, data, residual)
         failures.append(f"{rung}: residual {residual:.3e}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonEvent, PairFormatError, SingularInterpolation
+from .errors import PairFormatError, SingularInterpolation
 
 MERGE_REL_TOL = 1e-12
 MERGE_MASS_TOL = 1e-14
@@ -265,8 +265,9 @@ def from_string(s: StringData) -> PeakonPair:
     """Invert the string coordinate change (minus side canonical).
 
     Sites are ``ln xi_j``, weights ``(a_{j+1} - a_j) xi_j / 2`` with the
-    trailing value fixed to zero, atoms ``xi_j b_j``.  Non-events within
-    tolerance are merged with a warning; an exact interior non-event raises.
+    trailing value fixed to zero, atoms ``xi_j b_j``.  Non-events (no
+    coefficient step and no mass, within tolerance) are merged with a
+    ``NonEventWarning``.
     """
     if s.side == "plus":
         minus = StringData("minus", s.lengths, s.values, s.masses)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from mpmath import mp, mpf, mpc
 
 DEFAULT_PREC = 128
+PREC_LADDER = (1, 2, 4)  # multiples of the precision every escalation tries
 
 
 def _to_mpf(x, prec):

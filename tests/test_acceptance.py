@@ -280,6 +280,18 @@ def test_lenient_rung_certifies_after_wrong_strict_passes():
     assert err <= 1e-10
 
 
+def test_certificate_that_raises_fails_its_rung_only():
+    # the 128-bit strip returns a wrong 14-peak pair whose own direct
+    # transform fails at 128, 256 and 512 bits; that refusal must end only
+    # its rung, so all three rungs are named
+    pair = _random_suite_pair(np.random.default_rng(140), 11)
+    data = spectral_data(pair)
+    with pytest.raises(RoundTripFailure) as err:
+        reconstruct(IsospectralCoordinates(data.eigenvalues, data.kappa))
+    for rung in ("128 bits", "256 bits", "512 bits lenient"):
+        assert rung in str(err.value)
+
+
 def test_criterion_9_weak_solution_residuals():
     peakon = make_trajectory(PeakonPair([0.0], [1.0], [0.0]),
                              np.linspace(-2.0, 2.0, 9))

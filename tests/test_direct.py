@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import chflow.direct
 from chflow.direct import (RationalHerglotz, classify_definiteness,
                            herglotz_probe, norming_by_quadrature,
                            parseval_check, spectral_data,
                            spectral_from_coords, spectrum, trace_formulas,
                            weyl_function, wronskian_poly)
-from chflow.errors import NotAnEigenvalue, PoleHit, WeightNonpositive
+from chflow.errors import (NotAnEigenvalue, PoleHit, RootCountMismatch,
+                           WeightNonpositive)
 from chflow.pairs import PeakonPair
 
 
@@ -174,3 +176,14 @@ def test_spectral_data_escalates_past_twice_the_precision():
     assert np.all(data.norming_left * data.eigenvalues > 0)
     r1, _ = trace_formulas(pair, data)
     assert r1 <= 1e-9
+
+
+def test_spectral_data_names_every_rung_when_all_fail(monkeypatch):
+    def slipping(pair, prec):
+        raise RootCountMismatch(f"slipped at {prec}")
+
+    monkeypatch.setattr(chflow.direct, "_spectral_data_attempt", slipping)
+    with pytest.raises(RootCountMismatch) as err:
+        spectral_data(PeakonPair([0.0], [1.0], [0.0]))
+    for bits in (128, 256, 512):
+        assert f"{bits} bits: slipped at {bits}" in str(err.value)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import chflow.direct
 from chflow.direct import spectral_data
 from chflow.errors import DuplicateEigenvalue, NonpositiveProduct
 from chflow.inverse import (IsospectralCoordinates, herglotz_from_coords,
-                            inverse_transform, layer_strip,
+                            inverse_transform, layer_strip, reconstruct,
                             reconstruct_plus_side, wdot_from_sigma)
 from chflow.pairs import PeakonPair, from_string
 
@@ -158,3 +159,19 @@ def test_herglotz_from_coords_weight_formula():
     assert m.weights[0] == pytest.approx(0.5 / 1.0)
     p = herglotz_from_coords(co, "plus")
     assert p.weights[0] == pytest.approx(2.0 / 1.0)
+
+
+def test_certificate_starts_at_the_rung_precision(monkeypatch):
+    pair = PeakonPair([-0.5, 0.5], [1.0, -0.5], [0.0, 0.3])
+    data = spectral_data(pair)
+    attempt = chflow.direct._spectral_data_attempt
+    precs = []
+
+    def recorded(pair, prec):
+        precs.append(prec)
+        return attempt(pair, prec)
+
+    monkeypatch.setattr(chflow.direct, "_spectral_data_attempt", recorded)
+    rec = reconstruct(IsospectralCoordinates(data.eigenvalues, data.kappa), 256)
+    assert precs[0] == 256
+    assert rec.residual <= 1e-8
